@@ -2,9 +2,11 @@
 // one machine configuration — or a whole axis of them — and print the
 // paper-style improvement table per point.
 //
-// Every figure bench accepts the same flags (strict — unknown flags exit 2):
+// Every figure bench accepts the same flags (strict — unknown flags and
+// malformed numbers exit 2 with the usage line):
 //   --threads N       worker threads for the (workload, version) fan-out
-//                     (default: SELCACHE_THREADS env, else serial)
+//                     (default: SELCACHE_THREADS env, else serial; both
+//                     must be a plain non-negative integer <= 4096)
 //   --no-reuse-tape   interpret every point instead of record-once/
 //                     replay-many (the default records each (workload,
 //                     version) cell at the first machine point and replays
@@ -16,16 +18,11 @@
 //                     are written back for the next run
 //   --store-readonly  consult the store but never write to it
 //   --store-clear     empty the store before the run (cold-start baseline)
-//   --batch N         ops per decoded batch for the shared-decode engine
-//                     (default tape::kDefaultBatchOps). A multi-point taped
-//                     axis then decodes each cell's tape ONCE and fans the
-//                     batches out to every machine point. 0 restores the
-//                     classic per-point replay loop.
-//   --no-simd         force the scalar probe kernels (same results, no
-//                     vectorized tag compare) — see memsys/probe_kernels.h
 #pragma once
 
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,11 +32,9 @@
 
 #include "core/report.h"
 #include "core/runner.h"
-#include "memsys/probe_kernels.h"
 #include "store/store.h"
 #include "support/signal_guard.h"
 #include "tape/cache.h"
-#include "tape/multi_replayer.h"
 
 namespace selcache::bench {
 
@@ -50,46 +45,51 @@ struct FigureOptions {
   std::string store_dir;    ///< empty = no persistent store
   bool store_readonly = false;
   bool store_clear = false;
-  /// Ops per decoded batch for the shared-decode axis engine; 0 = classic
-  /// per-point replay (decode each cell's tape once per machine point).
-  std::uint32_t batch = tape::kDefaultBatchOps;
 };
 
-/// Parse the shared figure-bench flags; exits(2) on anything unrecognized.
+/// Parse the shared figure-bench flags; exits(2) on anything unrecognized
+/// or malformed.
 inline FigureOptions parse_figure_options(int argc, char** argv) {
   FigureOptions f;
-  if (const char* env = std::getenv("SELCACHE_THREADS"))
-    f.threads = static_cast<unsigned>(std::atoi(env));
   const auto usage = [&argv]() {
     std::fprintf(stderr,
                  "usage: %s [--threads N] [--no-reuse-tape]"
                  " [--max-points N] [--store DIR] [--store-readonly]"
-                 " [--store-clear] [--batch N] [--no-simd]\n",
+                 " [--store-clear]\n",
                  argv[0]);
     std::exit(2);
   };
+  // Strict count parse: the whole string is decimal digits and the value is
+  // at most `max`, so "abc", "4x", "-1" or "" exit 2 instead of becoming 0.
+  const auto count = [&](const char* what, const char* s,
+                         unsigned long long max) {
+    errno = 0;
+    const unsigned long long v = std::strtoull(s, nullptr, 10);
+    if (*s == '\0' || std::strspn(s, "0123456789") != std::strlen(s) ||
+        errno == ERANGE || v > max) {
+      std::fprintf(stderr,
+                   "%s: %s expects a non-negative integer <= %llu, got '%s'\n",
+                   argv[0], what, max, s);
+      usage();
+    }
+    return v;
+  };
+  if (const char* env = std::getenv("SELCACHE_THREADS"))
+    f.threads = static_cast<unsigned>(count("SELCACHE_THREADS", env, 4096));
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      f.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      f.threads = static_cast<unsigned>(count("--threads", argv[++i], 4096));
     } else if (std::strcmp(argv[i], "--no-reuse-tape") == 0) {
       f.reuse_tape = false;
     } else if (std::strcmp(argv[i], "--max-points") == 0 && i + 1 < argc) {
-      f.max_points = std::atoi(argv[++i]);
+      f.max_points =
+          static_cast<int>(count("--max-points", argv[++i], INT_MAX));
     } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
       f.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--store-readonly") == 0) {
       f.store_readonly = true;
     } else if (std::strcmp(argv[i], "--store-clear") == 0) {
       f.store_clear = true;
-    } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      // Strict: a batch size that does not parse as a plain number must
-      // fail loudly, not silently become 0 (which flips the engine).
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v > 0xffffffffUL) usage();
-      f.batch = static_cast<std::uint32_t>(v);
-    } else if (std::strcmp(argv[i], "--no-simd") == 0) {
-      memsys::kernels::force_scalar(true);
     } else {
       usage();
     }
@@ -183,47 +183,6 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
   support::SignalGuard guard;
 
   const auto sweep_t0 = std::chrono::steady_clock::now();
-
-  // Shared-decode engine (the default for taped multi-point axes): every
-  // (workload, version) cell's tape is decoded ONCE and its batches fan out
-  // to all machine points, instead of a full decode per point. The tables
-  // are bit-identical to the per-point loop below (same rows, same store
-  // cells); only the timing footers differ — and the figure equivalence
-  // test strips those before diffing.
-  if (opt.reuse_tape && points.size() > 1 && fopt.batch > 0) {
-    opt.batch = fopt.batch;
-    std::vector<core::MachineConfig> machines;
-    machines.reserve(points.size());
-    for (const SweepPoint& p : points) machines.push_back(p.machine);
-    const auto all_rows = core::sweep_axis_shared_decode(machines, opt, par);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      std::printf("%s", core::format_machine(points[i].machine).c_str());
-      std::printf("%s", core::format_figure(points[i].title,
-                                            all_rows[i]).c_str());
-      std::printf("\n");
-      detail::maybe_write_csv(points[i].title, all_rows[i]);
-    }
-    const auto total = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - sweep_t0)
-                           .count();
-    std::printf("axis total: %zu machine points in %.1fs "
-                "(shared-decode, batch=%u, kernels=%s)\n",
-                points.size(), total, fopt.batch,
-                memsys::kernels::active_kernel());
-    if (rstore != nullptr) {
-      std::size_t persisted = rstore->persist_tapes(cache);
-      const auto c = rstore->counters();
-      std::fprintf(stderr,
-                   "store: %llu hits, %llu misses (%llu corrupt), %llu cells"
-                   " written, %zu tapes persisted -> %s\n",
-                   static_cast<unsigned long long>(c.hits),
-                   static_cast<unsigned long long>(c.misses),
-                   static_cast<unsigned long long>(c.corrupt),
-                   static_cast<unsigned long long>(c.writes), persisted,
-                   rstore->dir().c_str());
-    }
-    return 0;
-  }
 
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (support::SignalGuard::stop_requested()) {

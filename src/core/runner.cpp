@@ -13,7 +13,6 @@
 #include "support/fingerprint.h"
 #include "support/thread_pool.h"
 #include "tape/cache.h"
-#include "tape/multi_replayer.h"
 #include "tape/recording_model.h"
 #include "tape/replayer.h"
 #include "trace/recorder.h"
@@ -312,46 +311,8 @@ tape::Tape record_tape(const workloads::WorkloadInfo& w,
 RunResult replay_tape(const tape::Tape& t, const MachineConfig& m, Version v,
                       const RunOptions& opt, trace::Recording* trace_out) {
   Simulation sim(m, v, opt, trace_out);
-  if (opt.batch > 0) {
-    // Batched decode loop: same op stream, delivered batch by batch.
-    const std::vector<cpu::TimingModel*> sinks{&sim.cpu};
-    tape::multi_replay(t, sinks, /*pool=*/nullptr, opt.batch);
-  } else {
-    tape::TapeReplayer::replay(t, sim.cpu);
-  }
+  tape::TapeReplayer::replay(t, sim.cpu);
   return sim.collect();
-}
-
-std::vector<RunResult> multi_replay_tape(
-    const tape::Tape& t, const std::vector<MachineConfig>& machines, Version v,
-    const RunOptions& opt, const ParallelSweepOptions& par,
-    const std::vector<trace::Recording*>* traces) {
-  SELCACHE_CHECK_MSG(traces == nullptr || traces->size() == machines.size(),
-                     "multi_replay_tape: traces/machines size mismatch");
-  // One full Simulation per machine point: each owns all mutable state, so
-  // the fan-out below never shares anything but the immutable batch.
-  std::vector<std::unique_ptr<Simulation>> sims;
-  sims.reserve(machines.size());
-  std::vector<cpu::TimingModel*> sinks;
-  sinks.reserve(machines.size());
-  for (std::size_t i = 0; i < machines.size(); ++i) {
-    sims.push_back(std::make_unique<Simulation>(
-        machines[i], v, opt, traces != nullptr ? (*traces)[i] : nullptr));
-    sinks.push_back(&sims.back()->cpu);
-  }
-  if (par.num_threads > 1 && machines.size() > 1) {
-    SELCACHE_CHECK_MSG(opt.run_guard == nullptr,
-                       "multi_replay_tape: a RunGuard is not thread-safe "
-                       "across the parallel fan-out");
-    support::ThreadPool pool(par.num_threads);
-    tape::multi_replay(t, sinks, &pool, opt.batch);
-  } else {
-    tape::multi_replay(t, sinks, nullptr, opt.batch);
-  }
-  std::vector<RunResult> out;
-  out.reserve(sims.size());
-  for (auto& s : sims) out.push_back(s->collect());
-  return out;
 }
 
 RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
@@ -481,132 +442,6 @@ std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
       results[vi] = futures[wi][vi].get();
     rows.push_back(make_improvement_row(suite[wi], results));
     if (traces != nullptr) append_captures(suite[wi], recs[wi], traces);
-  }
-  return rows;
-}
-
-namespace {
-
-/// One (workload, version) cell of a shared-decode axis sweep: results for
-/// every machine point from ONE decode of the cell's tape. Store hits are
-/// served per point; the tape is recorded at the first un-served point (the
-/// recording run IS that point's simulation, exactly as in run_version);
-/// every remaining point rides the multi-replay fan-out. Fresh results are
-/// persisted under the same store keys run_version would use.
-void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
-                            const std::vector<MachineConfig>& machines,
-                            const RunOptions& opt,
-                            std::vector<RunResult>& out) {
-  const std::size_t np = machines.size();
-  out.resize(np);
-  const bool stored = store_eligible(opt, nullptr);
-  std::vector<std::string> skeys(np);
-  std::vector<std::size_t> pending;
-  pending.reserve(np);
-  for (std::size_t pi = 0; pi < np; ++pi) {
-    if (stored) {
-      skeys[pi] = store_key(w, machines[pi], v, opt);
-      if (std::optional<store::StoredResult> hit =
-              opt.result_store->load(skeys[pi])) {
-        out[pi] = from_stored(*hit);
-        continue;
-      }
-    }
-    pending.push_back(pi);
-  }
-  if (pending.empty()) return;
-
-  tape::TapeCache& cache =
-      opt.tape_cache != nullptr ? *opt.tape_cache : tape::TapeCache::global();
-  std::optional<RunResult> recorded;
-  const std::size_t rec_pi = pending.front();
-  const tape::TapeCache::TapePtr t =
-      cache.get_or_record(tape_key(w, v, opt), [&] {
-        RunResult r;
-        tape::Tape fresh = record_tape(w, machines[rec_pi], v, opt, &r,
-                                       /*trace_out=*/nullptr);
-        recorded = std::move(r);
-        return fresh;
-      });
-
-  std::vector<std::size_t> replayed;
-  replayed.reserve(pending.size());
-  if (recorded) {
-    out[rec_pi] = std::move(*recorded);
-    for (std::size_t pi : pending)
-      if (pi != rec_pi) replayed.push_back(pi);
-  } else {
-    replayed = pending;  // tape existed (preloaded / earlier cell of a rerun)
-  }
-  if (!replayed.empty()) {
-    std::vector<MachineConfig> ms;
-    ms.reserve(replayed.size());
-    for (std::size_t pi : replayed) ms.push_back(machines[pi]);
-    // Serial fan-out inside the cell: axis-level parallelism (one task per
-    // cell) already saturates the pool, and interleaving on one thread
-    // keeps every simulation's call order trivially deterministic.
-    std::vector<RunResult> rr = multi_replay_tape(*t, ms, v, opt, {});
-    for (std::size_t i = 0; i < replayed.size(); ++i)
-      out[replayed[i]] = std::move(rr[i]);
-  }
-  if (stored)
-    for (std::size_t pi : pending)
-      opt.result_store->save(skeys[pi], to_stored(out[pi]));
-}
-
-}  // namespace
-
-std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
-    const std::vector<MachineConfig>& machines, const RunOptions& opt,
-    const ParallelSweepOptions& par) {
-  SELCACHE_CHECK_MSG(tape_eligible(opt) && !opt.degrade.armed(),
-                     "sweep_axis_shared_decode needs a tape-eligible run "
-                     "(reuse_tape, no faults/watchdog/degrade)");
-  const auto& suite = workloads::all_workloads();
-  const std::size_t nw = suite.size();
-  const std::size_t nv = kAllVersions.size();
-
-  // cells[wi][vi][pi]: every result of the whole axis, computed cell-major
-  // (one decode per cell) and assembled point-major below in fixed order —
-  // the same rows per-point sweep_suite calls would build.
-  std::vector<std::vector<std::vector<RunResult>>> cells(
-      nw, std::vector<std::vector<RunResult>>(nv));
-
-  if (par.num_threads > 1) {
-    support::ThreadPool pool(par.num_threads);
-    std::vector<std::future<void>> done;
-    done.reserve(nw * nv);
-    for (std::size_t wi = 0; wi < nw; ++wi)
-      for (std::size_t vi = 0; vi < nv; ++vi)
-        done.push_back(pool.submit([&, wi, vi] {
-          run_cell_shared_decode(suite[wi], kAllVersions[vi], machines, opt,
-                                 cells[wi][vi]);
-        }));
-    std::exception_ptr err;
-    for (auto& f : done) {
-      try {
-        f.get();
-      } catch (...) {
-        if (err == nullptr) err = std::current_exception();
-      }
-    }
-    if (err != nullptr) std::rethrow_exception(err);
-  } else {
-    for (std::size_t wi = 0; wi < nw; ++wi)
-      for (std::size_t vi = 0; vi < nv; ++vi)
-        run_cell_shared_decode(suite[wi], kAllVersions[vi], machines, opt,
-                               cells[wi][vi]);
-  }
-
-  std::vector<std::vector<ImprovementRow>> rows(machines.size());
-  for (std::size_t pi = 0; pi < machines.size(); ++pi) {
-    rows[pi].reserve(nw);
-    for (std::size_t wi = 0; wi < nw; ++wi) {
-      std::array<RunResult, 5> results;
-      for (std::size_t vi = 0; vi < nv; ++vi)
-        results[vi] = std::move(cells[wi][vi][pi]);
-      rows[pi].push_back(make_improvement_row(suite[wi], results));
-    }
   }
   return rows;
 }

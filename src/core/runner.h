@@ -59,12 +59,6 @@ struct RunOptions {
   bool reuse_tape = false;
   /// Cache consulted by reuse_tape; nullptr = the process-global cache.
   tape::TapeCache* tape_cache = nullptr;
-  /// Ops per decoded batch for batched tape replay (tape::MultiReplayer).
-  /// 0 = classic streaming replay (decode and simulate fused, one pass).
-  /// Any value selects the batched decode loop for replay_tape and the
-  /// shared-decode sweep engines; the op stream each simulation sees is
-  /// identical either way, so results are bit-identical at any batch size.
-  std::uint32_t batch = 0;
   /// Persistent result store consulted before simulating and updated after
   /// (nullptr = no store). A hit skips the whole simulation — program
   /// construction, pipeline, interpretation — and reconstructs the
@@ -140,26 +134,9 @@ tape::Tape record_tape(const workloads::WorkloadInfo& w,
 /// Replay a recorded tape on machine `m` as version `v`, reconstructing the
 /// machine exactly as run_version would and driving it with the tape
 /// instead of the IR. Bit-identical to the interpreted run for any machine.
-/// With opt.batch > 0 the tape is decoded through the batched loop
-/// (tape::MultiReplayer) instead of the fused streaming replayer.
 RunResult replay_tape(const tape::Tape& t, const MachineConfig& m, Version v,
                       const RunOptions& opt = {},
                       trace::Recording* trace_out = nullptr);
-
-/// Replay one tape across N machine configurations with a SINGLE decode:
-/// the tape expands once into op batches, and every batch drives one
-/// Simulation per machine before the next batch is decoded. Results are in
-/// machines order and bit-identical to N separate replay_tape calls — at
-/// any par.num_threads (each simulation is driven by one task at a time, in
-/// strict tape order) and any opt.batch. `traces` (optional) supplies one
-/// Recording* per machine (entries may be nullptr); traced simulations
-/// record exactly what a solo traced replay would. With par.num_threads > 1
-/// opt.run_guard must be nullptr (a RunGuard is not thread-safe, and here
-/// it would be polled by every machine's simulation concurrently).
-std::vector<RunResult> multi_replay_tape(
-    const tape::Tape& t, const std::vector<MachineConfig>& machines, Version v,
-    const RunOptions& opt = {}, const ParallelSweepOptions& par = {},
-    const std::vector<trace::Recording*>* traces = nullptr);
 
 /// One (workload, version) phase-trace recording from a sweep.
 struct TraceCapture {
@@ -220,23 +197,6 @@ std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
                                         const RunOptions& opt = {},
                                         const ParallelSweepOptions& par = {},
                                         std::vector<TraceCapture>* traces = nullptr);
-
-/// Whole-AXIS sweep with shared decode: the full suite over every machine
-/// point of a figure axis, decoding each (workload, version) cell's tape
-/// ONCE and fanning the batches out to one simulation per pending machine
-/// point (tape::MultiReplayer) instead of re-decoding per point. Returns
-/// rows[point] exactly as `machines.size()` sweep_suite calls would — same
-/// rows, same stats, same store cells — just cheaper. Requires a
-/// tape-eligible configuration (opt.reuse_tape set, no fault campaign or
-/// watchdog, opt.degrade disarmed). The persistent store (if attached) is
-/// consulted per (cell, point) before simulating and updated after, like
-/// run_version. With par.num_threads > 1 the 13x5 cells fan out over a
-/// worker pool (each cell multi-replays its points on one thread); results
-/// merge in fixed (workload, version, point) order — bit-identical to the
-/// serial engine and to per-point sweep_suite at any thread count.
-std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
-    const std::vector<MachineConfig>& machines, const RunOptions& opt = {},
-    const ParallelSweepOptions& par = {});
 
 /// Controls for a failure-isolated ("resilient") sweep: the fault campaign
 /// applied to every cell, how often a failed cell is retried, and the

@@ -157,11 +157,6 @@ class TimingModel {
     }
   }
 
-  /// Host-side prefetch of the hierarchy sets a future load/store at `addr`
-  /// will probe. A pure performance hint for batched-replay lookahead — no
-  /// simulator state, statistics, or trace events.
-  void prefetch_data(Addr addr) const { hierarchy_.prefetch_data(addr); }
-
   /// Tee every subsequent event into `sink` (nullptr stops recording).
   void set_trace_sink(Trace* sink) { trace_ = sink; }
 

@@ -117,15 +117,6 @@ class Cache {
   std::uint64_t fills() const { return fills_; }
   std::uint64_t resident_blocks() const;
 
-  /// Host-side prefetch of the set `addr` maps to — a pure performance hint
-  /// for batched-replay lookahead. Touches no simulator state or statistics
-  /// (a 4-way set is one 64-byte line, so one prefetch covers the scan).
-  void prefetch_set(Addr addr) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&blocks_[set_index(addr) * cfg_.assoc]);
-#endif
-  }
-
   /// Set index of the block containing `addr` (public so tests can check the
   /// shift/mask form against the reference div/mod formula).
   std::uint64_t set_index(Addr addr) const {

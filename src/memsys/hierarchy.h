@@ -113,14 +113,6 @@ class Hierarchy {
     return lat;
   }
 
-  /// Host-side prefetch of the L1D and DTLB sets a future data access will
-  /// probe — the batched-replay lookahead hint. Pure performance: no
-  /// simulator state, statistics, or attached hooks are touched.
-  void prefetch_data(Addr addr) const {
-    dtlb_.prefetch_set(addr);
-    l1d_.prefetch_set(addr);
-  }
-
   const Cache& l1d() const { return l1d_; }
   const Cache& l1i() const { return l1i_; }
   const Cache& l2() const { return l2_; }

@@ -53,14 +53,6 @@ class Tlb {
 
   bool probe(Addr addr) const;
 
-  /// Host-side prefetch of the set `addr` maps to (batched-replay
-  /// lookahead); no simulator state or statistics are touched.
-  void prefetch_set(Addr addr) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&entries_[set_index(vpn_of(addr)) * cfg_.assoc]);
-#endif
-  }
-
   const TlbConfig& config() const { return cfg_; }
   const HitMiss& stats() const { return stats_; }
   void export_stats(StatSet& out) const;

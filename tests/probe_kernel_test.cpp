@@ -1,15 +1,14 @@
-// The probe kernels' contract: the vector paths (SSE2/NEON) and the scalar
-// fallback implement the exact same first-match / first-free / min-LRU
-// semantics on the shared 16-byte slot layout, so forcing either path can
-// never change which way a probe hits or which way a miss fills. The tests
-// pin both paths against each other on randomized sets and on the edge
+// The probe kernels' contract: the compiled kernels (SSE2 on x86-64, the
+// scalar loops elsewhere), the scalar detail:: kernels and a naive
+// reference all implement the exact same first-match / first-free /
+// min-LRU semantics on the shared 16-byte slot layout. Every test checks
+// all three against each other, on randomized sets and on the edge
 // geometries the hot path never stresses (odd associativity tails, invalid
 // slots with stale matching keys, UINT32_MAX LRU stamps).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -47,11 +46,30 @@ VictimWay ref_victim(const std::vector<Slot>& set) {
   return {.way = best, .free = false};
 }
 
-/// Restores the startup kernel selection even if an EXPECT fails.
-struct ScalarGuard {
-  explicit ScalarGuard(bool on) { force_scalar(on); }
-  ~ScalarGuard() { force_scalar(false); }
-};
+/// Asserts that the compiled kernels, the scalar detail:: kernels and the
+/// naive reference agree on one (set, key) probe, and returns the result.
+ProbeResult expect_probe_agrees(const std::vector<Slot>& set,
+                                std::uint64_t key) {
+  const auto n = static_cast<std::uint32_t>(set.size());
+  const auto* bytes = reinterpret_cast<const unsigned char*>(set.data());
+  const std::uint32_t mw = ref_match(set, key);
+  EXPECT_EQ(match_way(set.data(), n, key), mw) << "compiled n=" << n;
+  EXPECT_EQ(detail::match_way_scalar(bytes, n, key), mw) << "scalar n=" << n;
+
+  ProbeResult want{.hit = mw != kNoWay, .way = mw};
+  if (!want.hit) {
+    const VictimWay vw = ref_victim(set);
+    want = {.way = vw.way, .free = vw.free};
+  }
+  const ProbeResult compiled = probe_way(set.data(), n, key);
+  const ProbeResult scalar = detail::probe_way_scalar(set.data(), n, key);
+  for (const ProbeResult& got : {compiled, scalar}) {
+    EXPECT_EQ(got.hit, want.hit) << "n=" << n << " key=" << key;
+    EXPECT_EQ(got.way, want.way) << "n=" << n << " key=" << key;
+    EXPECT_EQ(got.free, want.free) << "n=" << n << " key=" << key;
+  }
+  return want;
+}
 
 /// Random set with key collisions likely (small key range), a mix of valid
 /// and invalid slots, and strictly distinct LRU stamps among the valid
@@ -76,11 +94,12 @@ TEST(ProbeKernels, MatchWayAgreesWithReferenceOnBothPaths) {
   for (const std::uint32_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 16u}) {
     for (int trial = 0; trial < 500; ++trial) {
       const std::vector<Slot> set = random_set(rng, n);
+      const auto* bytes = reinterpret_cast<const unsigned char*>(set.data());
       for (std::uint64_t key = 0; key < 9; ++key) {
         const std::uint32_t want = ref_match(set, key);
-        EXPECT_EQ(match_way(set.data(), n, key), want) << "simd n=" << n;
-        ScalarGuard scalar(true);
-        EXPECT_EQ(match_way(set.data(), n, key), want) << "scalar n=" << n;
+        EXPECT_EQ(match_way(set.data(), n, key), want) << "compiled n=" << n;
+        EXPECT_EQ(detail::match_way_scalar(bytes, n, key), want)
+            << "scalar n=" << n;
       }
     }
   }
@@ -100,43 +119,28 @@ TEST(ProbeKernels, VictimWayAgreesWithReference) {
 }
 
 /// probe_way is the fused demand-path scan: on every input it must equal
-/// the composition of match_way and victim_way — under both kernels.
+/// the composition of match_way and victim_way — compiled and scalar.
 TEST(ProbeKernels, ProbeWayEqualsComposedKernelsOnBothPaths) {
   std::mt19937_64 rng(0x5EED);
   for (const std::uint32_t n : {1u, 2u, 3u, 4u, 5u, 8u}) {
     for (int trial = 0; trial < 500; ++trial) {
       const std::vector<Slot> set = random_set(rng, n);
-      for (std::uint64_t key = 0; key < 9; ++key) {
-        const std::uint32_t mw = ref_match(set, key);
-        const VictimWay vw = ref_victim(set);
-        for (const bool scalar : {false, true}) {
-          ScalarGuard guard(scalar);
-          const ProbeResult pr = probe_way(set.data(), n, key);
-          if (mw != kNoWay) {
-            EXPECT_TRUE(pr.hit);
-            EXPECT_EQ(pr.way, mw);
-          } else {
-            EXPECT_FALSE(pr.hit);
-            EXPECT_EQ(pr.way, vw.way);
-            EXPECT_EQ(pr.free, vw.free);
-          }
-        }
-      }
+      for (std::uint64_t key = 0; key < 9; ++key)
+        expect_probe_agrees(set, key);
     }
   }
 }
 
 /// A stale key in an invalidated slot must never count as a hit — and that
-/// freed slot is exactly where the subsequent fill lands.
+/// freed slot is exactly where the subsequent fill lands. Checked at the
+/// shipped 4-way geometry and at odd associativities around it.
 TEST(ProbeKernels, InvalidSlotWithMatchingKeyIsAMissIntoThatSlot) {
-  std::vector<Slot> set(4);
-  for (std::uint32_t w = 0; w < 4; ++w)
-    set[w] = {.key = 0x40 + w, .lru = w + 1, .valid = true};
-  set[2].valid = false;  // invalidate, key 0x42 left behind
-  for (const bool scalar : {false, true}) {
-    ScalarGuard guard(scalar);
-    EXPECT_EQ(match_way(set.data(), 4, 0x42), kNoWay);
-    const ProbeResult pr = probe_way(set.data(), 4, 0x42);
+  for (const std::uint32_t n : {3u, 4u, 5u}) {
+    std::vector<Slot> set(n);
+    for (std::uint32_t w = 0; w < n; ++w)
+      set[w] = {.key = 0x40 + w, .lru = w + 1, .valid = true};
+    set[2].valid = false;  // invalidate, key 0x42 left behind
+    const ProbeResult pr = expect_probe_agrees(set, 0x42);
     EXPECT_FALSE(pr.hit);
     EXPECT_TRUE(pr.free);
     EXPECT_EQ(pr.way, 2u);
@@ -146,14 +150,15 @@ TEST(ProbeKernels, InvalidSlotWithMatchingKeyIsAMissIntoThatSlot) {
 /// First-free beats min-LRU, and among several invalid ways the FIRST wins
 /// (fill() scans in way order; the kernels must agree with it exactly).
 TEST(ProbeKernels, FirstInvalidWayWinsOverLowerLru) {
-  std::vector<Slot> set(4);
-  set[0] = {.key = 1, .lru = 10, .valid = true};
-  set[1] = {.key = 2, .lru = 0, .valid = false};
-  set[2] = {.key = 3, .lru = 1, .valid = true};  // lowest valid stamp
-  set[3] = {.key = 4, .lru = 0, .valid = false};
-  for (const bool scalar : {false, true}) {
-    ScalarGuard guard(scalar);
-    const ProbeResult pr = probe_way(set.data(), 4, 99);
+  for (const std::uint32_t n : {4u, 5u, 7u}) {
+    std::vector<Slot> set(n);
+    for (std::uint32_t w = 0; w < n; ++w)
+      set[w] = {.key = 10 + w, .lru = 10 + w, .valid = true};
+    set[0] = {.key = 1, .lru = 10, .valid = true};
+    set[1] = {.key = 2, .lru = 0, .valid = false};
+    set[2] = {.key = 3, .lru = 1, .valid = true};  // lowest valid stamp
+    set[3] = {.key = 4, .lru = 0, .valid = false};
+    const ProbeResult pr = expect_probe_agrees(set, 99);
     EXPECT_FALSE(pr.hit);
     EXPECT_TRUE(pr.free);
     EXPECT_EQ(pr.way, 1u) << "first invalid way, not the lowest-LRU one";
@@ -164,47 +169,24 @@ TEST(ProbeKernels, FirstInvalidWayWinsOverLowerLru) {
 /// carries it must still pick the true minimum (victim_way widens its best
 /// tracker to 64 bits precisely so this cannot collide).
 TEST(ProbeKernels, MaxLruStampIsNotASentinel) {
-  std::vector<Slot> set(4);
-  set[0] = {.key = 1, .lru = 0xFFFFFFFFu, .valid = true};
-  set[1] = {.key = 2, .lru = 7, .valid = true};
-  set[2] = {.key = 3, .lru = 5, .valid = true};
-  set[3] = {.key = 4, .lru = 6, .valid = true};
-  for (const bool scalar : {false, true}) {
-    ScalarGuard guard(scalar);
-    const VictimWay v = victim_way(set.data(), 4);
+  for (const std::uint32_t n : {3u, 4u, 5u}) {
+    std::vector<Slot> set(n);
+    for (std::uint32_t w = 0; w < n; ++w)
+      set[w] = {.key = 1 + w, .lru = 8 + w, .valid = true};
+    set[0].lru = 0xFFFFFFFFu;
+    set[2].lru = 5;  // the true minimum
+    const VictimWay v = victim_way(set.data(), n);
     EXPECT_FALSE(v.free);
     EXPECT_EQ(v.way, 2u);
-    const ProbeResult pr = probe_way(set.data(), 4, 99);
+    const ProbeResult pr = expect_probe_agrees(set, 99);
     EXPECT_FALSE(pr.hit);
     EXPECT_FALSE(pr.free);
     EXPECT_EQ(pr.way, 2u);
+
+    // And the all-max corner: every stamp equal picks way 0 on every path.
+    for (Slot& s : set) s.lru = 0xFFFFFFFFu;
+    EXPECT_EQ(expect_probe_agrees(set, 99).way, 0u);
   }
-
-  // And the all-max corner: every stamp equal picks way 0 on both paths.
-  for (Slot& s : set) s.lru = 0xFFFFFFFFu;
-  for (const bool scalar : {false, true}) {
-    ScalarGuard guard(scalar);
-    EXPECT_EQ(probe_way(set.data(), 4, 99).way, 0u);
-  }
-}
-
-TEST(ProbeKernels, ForceScalarTogglesTheActiveKernel) {
-  // Startup selection: compiled capability unless SELCACHE_NO_SIMD is set
-  // (the scalar CI lane runs this very test under that variable).
-  const char* env = std::getenv("SELCACHE_NO_SIMD");
-  const bool env_off =
-      env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  const bool startup = simd_active();
-  EXPECT_EQ(startup, simd_compiled() && !env_off);
-  EXPECT_STREQ(active_kernel(), startup ? simd_isa() : "scalar");
-
-  force_scalar(true);
-  EXPECT_FALSE(simd_active());
-  EXPECT_STREQ(active_kernel(), "scalar");
-
-  force_scalar(false);
-  EXPECT_EQ(simd_active(), startup);
-  EXPECT_STREQ(active_kernel(), startup ? simd_isa() : "scalar");
 }
 
 }  // namespace

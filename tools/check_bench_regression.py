@@ -14,20 +14,13 @@ Fails (exit 1) when:
   * the fresh run is not deterministic (parallel rows differed from serial),
   * the fresh run's warm-store suite was not faster than its cold-fill one
     (the store served nothing — incremental sweeps are broken),
+  * fig5_per_point_seconds is not a positive finite number,
   * serial accesses/sec dropped more than --tolerance below the baseline
-    (same direction-aware check for the scalar-kernel serial pass and the
-    batched multi-config replay throughput),
-  * the shared-decode figure sweep was slower than the per-point sweep of
-    the SAME run by more than --tolerance (both times come from one
-    process, so this is host-independent),
-  * simd_probe is not one of the kernels the dispatcher can actually name
-    (sse2 / neon / scalar) — a garbled field means the bench and the
-    kernels disagree about what ran,
+    (same direction-aware check for the tape record and replay
+    throughput, and upward for tape bytes/access),
   * parallel speedup dropped more than --tolerance below the baseline —
     only checked when both hosts have more than one hardware thread, since
-    a single-core host cannot exhibit parallel speedup. The multi-replay
-    throughput comparison is likewise skipped when the two runs fanned out
-    over different thread counts (multi_replay_threads_used).
+    a single-core host cannot exhibit parallel speedup.
 
 Absolute wall-clock is NOT compared (hosts differ); throughput ratios are.
 
@@ -49,23 +42,14 @@ EXPECTED_KEYS = frozenset({
     "benchmark",
     "deterministic",
     "fig5_per_point_seconds",
-    "fig5_shared_decode_seconds",
-    "fig5_shared_decode_speedup",
     "hardware_threads",
-    "multi_replay_accesses_per_sec",
-    "multi_replay_points",
-    "multi_replay_threads_used",
     "parallel_accesses_per_sec",
     "parallel_seconds",
     "parallel_threads_used",
-    "scalar_serial_accesses_per_sec",
-    "scalar_serial_seconds",
     "scheme",
     "serial_accesses_per_sec",
     "serial_seconds",
     "serial_threads_used",
-    "simd_probe",
-    "simd_probe_speedup",
     "simulated_accesses",
     "speedup",
     "store_cold_suite_seconds",
@@ -76,9 +60,6 @@ EXPECTED_KEYS = frozenset({
     "threads",
     "workloads",
 })
-
-# What the kernel dispatcher can actually report for simd_probe.
-KNOWN_KERNELS = frozenset({"sse2", "neon", "scalar"})
 
 
 def load(path):
@@ -179,59 +160,17 @@ def evaluate(base, fresh, tolerance, base_path="baseline",
             log.append(f"{path}: store warm {warm:.3f}s vs cold {cold:.3f}s "
                        f"({cold / warm:.1f}x)")
 
-    # Intra-file direction check: the shared-decode figure sweep decodes
-    # each cell's tape once instead of once per machine point, so it must
-    # not lose to the per-point sweep OF THE SAME RUN by more than the
-    # tolerance (the decode saving is a few percent of an S-dominated
-    # sweep, so noise can eat it — but a big loss means the fan-out engine
-    # itself regressed).
+    # The per-point fig5 axis time is recorded, not compared across hosts;
+    # it must still be a real measurement in both files.
     for path, data in ((fresh_path, fresh), (base_path, base)):
         per_point = data.get("fig5_per_point_seconds")
-        shared = data.get("fig5_shared_decode_seconds")
-        if not _positive_number(per_point) or not _positive_number(shared):
-            failures.append(f"{path}: fig5 sweep seconds not positive finite "
-                            f"numbers (per_point={per_point!r}, "
-                            f"shared={shared!r})")
-        elif shared > per_point * (1.0 + tolerance):
-            failures.append(f"{path}: shared-decode fig5 sweep "
-                            f"({shared:.3f}s) slower than per-point "
-                            f"({per_point:.3f}s) beyond tolerance — the "
-                            f"batched fan-out engine regressed")
-        else:
-            log.append(f"{path}: fig5 shared-decode {shared:.3f}s vs "
-                       f"per-point {per_point:.3f}s "
-                       f"({per_point / shared:.2f}x)")
-
-    # simd_probe names the kernel that actually ran; a value the
-    # dispatcher cannot produce means the bench and the kernels drifted
-    # apart. Baseline and fresh may legitimately differ (hosts differ in
-    # ISA, or one lane forces scalar) — log, never fail, on a mismatch.
-    for path, data in ((fresh_path, fresh), (base_path, base)):
-        kernel = data.get("simd_probe")
-        if kernel not in KNOWN_KERNELS:
-            failures.append(f"{path}: simd_probe {kernel!r} is not a known "
-                            f"kernel ({', '.join(sorted(KNOWN_KERNELS))})")
-    # The in-process SIMD-vs-scalar A/B ratio is only comparable when both
-    # runs exercised the same vector kernel (a scalar-lane run reports a
-    # trivial ~1.0 and would mask a real vector regression).
-    if base.get("simd_probe") == fresh.get("simd_probe"):
-        check_ratio(failures, log, "simd probe speedup",
-                    base.get("simd_probe_speedup"),
-                    fresh.get("simd_probe_speedup"), tolerance,
-                    higher_is_better=True)
-    elif not failures:
-        log.append(f"simd probe speedup check skipped (kernel differs: "
-                   f"baseline={base.get('simd_probe')}, "
-                   f"fresh={fresh.get('simd_probe')})")
+        if not _positive_number(per_point):
+            failures.append(f"{path}: fig5_per_point_seconds {per_point!r} "
+                            f"is not a positive finite number")
 
     check_ratio(failures, log, "serial accesses/sec",
                 base.get("serial_accesses_per_sec"),
                 fresh.get("serial_accesses_per_sec"), tolerance,
-                higher_is_better=True)
-
-    check_ratio(failures, log, "scalar serial accesses/sec",
-                base.get("scalar_serial_accesses_per_sec"),
-                fresh.get("scalar_serial_accesses_per_sec"), tolerance,
                 higher_is_better=True)
 
     check_ratio(failures, log, "tape record accesses/sec",
@@ -263,20 +202,6 @@ def evaluate(base, fresh, tolerance, base_path="baseline",
                    f"(hardware_threads: baseline={b_threads}, "
                    f"fresh={f_threads})")
 
-    # Multi-replay throughput scales with how many threads the fan-out
-    # used, so the cross-file ratio only means something when both runs
-    # fanned out the same way.
-    b_mrt = base.get("multi_replay_threads_used")
-    f_mrt = fresh.get("multi_replay_threads_used")
-    if b_mrt == f_mrt:
-        check_ratio(failures, log, "multi-replay accesses/sec",
-                    base.get("multi_replay_accesses_per_sec"),
-                    fresh.get("multi_replay_accesses_per_sec"), tolerance,
-                    higher_is_better=True)
-    else:
-        log.append(f"multi-replay throughput check skipped "
-                   f"(threads used: baseline={b_mrt}, fresh={f_mrt})")
-
     return failures, log
 
 
@@ -285,23 +210,14 @@ def _fixture(**overrides):
         "benchmark": "bench_throughput",
         "deterministic": True,
         "fig5_per_point_seconds": 22.8,
-        "fig5_shared_decode_seconds": 22.0,
-        "fig5_shared_decode_speedup": 1.04,
         "hardware_threads": 8,
-        "multi_replay_accesses_per_sec": 2.9e7,
-        "multi_replay_points": 4,
-        "multi_replay_threads_used": 8,
         "parallel_accesses_per_sec": 8.0e7,
         "parallel_seconds": 1.0,
         "parallel_threads_used": 8,
-        "scalar_serial_accesses_per_sec": 1.9e7,
-        "scalar_serial_seconds": 4.2,
         "scheme": "bypass",
         "serial_accesses_per_sec": 2.0e7,
         "serial_seconds": 4.0,
         "serial_threads_used": 1,
-        "simd_probe": "sse2",
-        "simd_probe_speedup": 1.05,
         "simulated_accesses": 80000000,
         "speedup": 4.0,
         "store_cold_suite_seconds": 4.2,
@@ -368,37 +284,8 @@ def self_test():
          {}, {"store_warm_suite_seconds": 0}, 0.15, True),
         ("missing store keys fails (schema drift)",
          {}, "drop-store-keys", 0.15, True),
-        ("multi-replay throughput regression fails",
-         {}, {"multi_replay_accesses_per_sec": 1.0e7}, 0.15, True),
-        ("zero multi-replay throughput fails",
-         {}, {"multi_replay_accesses_per_sec": 0}, 0.15, True),
-        ("NaN multi-replay throughput fails",
-         {}, {"multi_replay_accesses_per_sec": float("nan")}, 0.15, True),
-        ("missing multi-replay key fails (schema drift)",
-         {}, "drop-multi-replay", 0.15, True),
-        ("different fan-out thread counts skip multi-replay without failing",
-         {"multi_replay_threads_used": 8, "multi_replay_accesses_per_sec":
-          2.9e7},
-         {"multi_replay_threads_used": 1, "multi_replay_accesses_per_sec":
-          9.0e6}, 0.15, False),
-        ("scalar serial throughput regression fails",
-         {}, {"scalar_serial_accesses_per_sec": 1.0e7}, 0.15, True),
-        ("shared decode slower than per-point beyond tolerance fails",
-         {}, {"fig5_shared_decode_seconds": 30.0}, 0.15, True),
-        ("shared decode slightly slower than per-point passes (noise)",
-         {}, {"fig5_shared_decode_seconds": 23.5}, 0.15, False),
         ("NaN fig5 seconds fails",
          {}, {"fig5_per_point_seconds": float("nan")}, 0.15, True),
-        ("Inf fig5 shared seconds fails",
-         {}, {"fig5_shared_decode_seconds": float("inf")}, 0.15, True),
-        ("unknown simd_probe kernel fails",
-         {}, {"simd_probe": "avx512-imaginary"}, 0.15, True),
-        ("scalar-lane baseline vs simd fresh passes (kernel may differ)",
-         {"simd_probe": "scalar"}, {"simd_probe": "sse2"}, 0.15, False),
-        ("simd probe speedup regression fails",
-         {}, {"simd_probe_speedup": 0.5}, 0.15, True),
-        ("NaN simd probe speedup fails",
-         {}, {"simd_probe_speedup": float("nan")}, 0.15, True),
     ]
     problems = []
     for name, b_over, f_over, tol, expect_fail in scenarios:
@@ -409,9 +296,6 @@ def self_test():
             fresh = _fixture()
             del fresh["store_cold_suite_seconds"]
             del fresh["store_warm_suite_seconds"]
-        elif f_over == "drop-multi-replay":
-            fresh = _fixture()
-            del fresh["multi_replay_accesses_per_sec"]
         else:  # "drop-speedup": remove a key to trigger the schema check
             fresh = _fixture()
             del fresh["speedup"]

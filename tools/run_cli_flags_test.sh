@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CLI contract for the predict subcommands plus the replay-engine flags
-# (--batch / --no-simd / tape --stat): unknown flags and malformed
+# CLI contract for the predict subcommands, tape --stat, and the engine
+# flags that do not exist (--batch / --no-simd): unknown flags and malformed
 # invocations must exit 2 (same as every other subcommand), good runs 0,
 # and a failed cross-check 1.
 #
@@ -40,16 +40,16 @@ expect 0 "$cli" predict Perl base                    # non-analyzable is not an 
 expect 0 "$cli" predict Vpenta base --check
 expect 0 "$cli" predict Vpenta base --check --predict-classify
 
-# Replay-engine flags: a --batch value that does not parse as a plain
-# number must fail loudly (not silently flip the engine), and --no-simd /
-# tape --stat are ordinary healthy invocations.
-expect 2 "$cli" sweep --workload Perl --batch abc
-expect 2 "$cli" sweep --workload Perl --batch -1
-expect 2 "$cli" sweep --workload Perl --batch            # value flag, no value
-expect 2 "$cli" suite --batch 1e9
+# The engine has one replay loop and a compile-time probe kernel, so
+# --batch and --no-simd are not flags: they exit 2 like any unknown flag.
+# tape --stat is an ordinary healthy invocation.
+expect 2 "$cli" sweep --workload Perl --batch 512
+expect 2 "$cli" sweep --workload Perl --reuse-tape --batch 0
+expect 2 "$cli" sweep --workload Perl --no-simd
+expect 2 "$cli" suite --batch 512
+expect 2 "$cli" suite --no-simd
 expect 2 "$cli" tape Perl base --stat --bogus
-expect 0 "$cli" sweep --workload Perl --reuse-tape --batch 512 --no-simd
-expect 0 "$cli" sweep --workload Perl --no-simd
+expect 0 "$cli" sweep --workload Perl --reuse-tape
 expect 0 "$cli" tape Perl base --stat
 
 if [ "$fails" -ne 0 ]; then

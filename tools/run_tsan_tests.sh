@@ -36,18 +36,13 @@ fi
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
   parallel_runner_test thread_pool_test tape_test tape_equivalence_test \
-  multi_replay_test fault_test selcache
+  fault_test selcache
 
 # The concurrency-heavy tests: parallel sweep determinism, the pool itself,
-# tape record/replay equivalence (shared tape cache), the batched
-# multi-config fan-out (one task per sink per batch), and the resilient
-# sweep's failure isolation. The two suite-scale MultiReplay cases (full
-# 13x5 matrix, shared-decode axis) are excluded — minutes each under TSan;
-# the remaining MultiReplay cases drive the same fan-out code at
-# --threads 4, and the big ones run in the plain and ASan lanes.
+# tape record/replay equivalence (shared tape cache), and the resilient
+# sweep's failure isolation.
 ctest --preset tsan -j 2 \
-  -R 'ParallelSweep|ThreadPool|Tape|MultiReplay|Resilient|FaultSweep|parallel' \
-  -E 'MultiReplay.FullMatrix|MultiReplay.SharedDecode' "$@"
+  -R 'ParallelSweep|ThreadPool|Tape|Resilient|FaultSweep|parallel' "$@"
 
 # A real multi-threaded sweep end to end (4 workers over the full matrix),
 # plus the same under fault injection: the paths where sweep tasks share

@@ -65,8 +65,6 @@
 #include "core/runner.h"
 #include "ir/parser.h"
 #include "locality/crosscheck.h"
-#include "memsys/probe_kernels.h"
-#include "tape/multi_replayer.h"
 #include "locality/format.h"
 #include "locality/predictor.h"
 #include "ir/printer.h"
@@ -92,8 +90,7 @@ int usage() {
                " [--scheme S] [--threshold T] [--stats]\n"
                "  selcache sweep --workload NAME [--machine M] [--scheme S]"
                " [--threads N]\n"
-               "                 [--trace-dir DIR] [--epoch N] [--reuse-tape]"
-               " [--batch N] [--no-simd]\n"
+               "                 [--trace-dir DIR] [--epoch N] [--reuse-tape]\n"
                "                 [--store DIR] [--store-readonly]"
                " [--store-clear]\n"
                "                 [--run-dir DIR] [--deadline-ms N]"
@@ -103,7 +100,6 @@ int usage() {
                "  selcache suite [--machine M] [--scheme S] [--threads N]"
                " [--verify-pipeline] [--trace-dir DIR] [--epoch N]"
                " [--reuse-tape]\n"
-               "                 [--batch N] [--no-simd]\n"
                "                 [--store DIR] [--store-readonly]"
                " [--store-clear]\n"
                "                 [--run-dir DIR] [--deadline-ms N]"
@@ -446,25 +442,6 @@ bool parse_threads_flag(const std::map<std::string, std::string>& flags,
   return true;
 }
 
-/// Parse --batch (ops per decoded replay batch; 0 = classic streaming
-/// replay) and apply --no-simd (force the scalar probe kernels). Returns
-/// false after a diagnostic on a malformed --batch value.
-bool parse_engine_flags(const std::map<std::string, std::string>& flags,
-                        core::RunOptions* opt) {
-  std::uint64_t b = opt->batch;
-  if (!parse_u64_flag(flags, "batch", &b)) return false;
-  if (b > 0xffffffffULL) {
-    std::fprintf(stderr,
-                 "selcache: flag '--batch' out of range (max 2^32-1), "
-                 "got '%s'\n",
-                 flags.at("batch").c_str());
-    return false;
-  }
-  opt->batch = static_cast<std::uint32_t>(b);
-  if (flags.count("no-simd")) memsys::kernels::force_scalar(true);
-  return true;
-}
-
 /// Parse the fault-campaign flags shared by faultsim and sweep/suite into
 /// a FaultConfig + DegradePolicy + watchdog. Returns false after a one-line
 /// diagnostic.
@@ -699,10 +676,8 @@ int cmd_tape(const std::string& wname, const std::string& vname,
               static_cast<unsigned long long>(r.cycles),
               100.0 * r.l1_miss_rate);
   if (flags.count("stat")) {
-    // Decoded-op histogram: the exact call stream the batched multi-replay
-    // engine feeds each machine point, and how many fan-out batches the
-    // default batch size cuts it into (the numbers kDefaultBatchOps was
-    // sized from).
+    // Decoded-op histogram: the exact call stream replay feeds each
+    // machine point.
     struct CountingSink {
       std::uint64_t loads = 0, stores = 0, ifetches = 0, branches = 0,
                     computes = 0, toggles = 0;
@@ -735,11 +710,6 @@ int cmd_tape(const std::string& wname, const std::string& vname,
                 static_cast<unsigned long long>(c.computes), pct(c.computes));
     std::printf("    toggle  %12llu  (%5.1f%%)\n",
                 static_cast<unsigned long long>(c.toggles), pct(c.toggles));
-    const std::uint64_t batches =
-        (total + tape::kDefaultBatchOps - 1) / tape::kDefaultBatchOps;
-    std::printf("  batches: %llu of up to %u ops (default --batch %u)\n",
-                static_cast<unsigned long long>(batches),
-                tape::kDefaultBatchOps, tape::kDefaultBatchOps);
   }
   if (flags.count("out")) {
     if (!tape::save_tape(t, flags.at("out"))) {
@@ -1083,7 +1053,6 @@ int cmd_sweep(const std::map<std::string, std::string>& flags) {
   opt.scheme = *scheme;
   opt.reuse_tape = flags.count("reuse-tape") > 0;
   if (!parse_epoch_flag(flags, &opt.trace_epoch)) return 2;
-  if (!parse_engine_flags(flags, &opt)) return 2;
   core::ParallelSweepOptions par;
   if (!parse_threads_flag(flags, &par)) return 2;
   core::FaultSweepOptions fopt;
@@ -1162,7 +1131,6 @@ int cmd_suite(const std::map<std::string, std::string>& flags) {
   core::ParallelSweepOptions par;
   if (!parse_threads_flag(flags, &par)) return 2;
   if (!parse_epoch_flag(flags, &opt.trace_epoch)) return 2;
-  if (!parse_engine_flags(flags, &opt)) return 2;
   if (flags.count("verify-pipeline")) {
     std::vector<const workloads::WorkloadInfo*> ws;
     for (const auto& w : workloads::all_workloads()) ws.push_back(&w);
@@ -1630,21 +1598,21 @@ int main(int argc, char** argv) {
       {"sweep",
        {"sweep",
         {"workload", "machine", "scheme", "threads", "trace-dir", "epoch",
-         "batch", "fault-kind", "fault-rate", "fault-seed", "fault-budget",
-         "watchdog-accesses", "max-retries", "failures-out", "failures-jsonl",
-         "store", "run-dir", "deadline-ms", "cell-deadline-ms",
-         "cell-retries", "retry-backoff-ms", "csv-out", "jsonl-out"},
-        {"inject-faults", "integrity-checks", "reuse-tape", "no-simd",
-         "store-readonly", "store-clear"}}},
-      {"suite",
-       {"suite",
-        {"machine", "scheme", "threads", "trace-dir", "epoch", "batch",
          "fault-kind", "fault-rate", "fault-seed", "fault-budget",
          "watchdog-accesses", "max-retries", "failures-out", "failures-jsonl",
          "store", "run-dir", "deadline-ms", "cell-deadline-ms",
          "cell-retries", "retry-backoff-ms", "csv-out", "jsonl-out"},
+        {"inject-faults", "integrity-checks", "reuse-tape", "store-readonly",
+         "store-clear"}}},
+      {"suite",
+       {"suite",
+        {"machine", "scheme", "threads", "trace-dir", "epoch", "fault-kind",
+         "fault-rate", "fault-seed", "fault-budget", "watchdog-accesses",
+         "max-retries", "failures-out", "failures-jsonl", "store", "run-dir",
+         "deadline-ms", "cell-deadline-ms", "cell-retries", "retry-backoff-ms",
+         "csv-out", "jsonl-out"},
         {"verify-pipeline", "inject-faults", "integrity-checks", "reuse-tape",
-         "no-simd", "store-readonly", "store-clear"}}},
+         "store-readonly", "store-clear"}}},
       {"store", {"store", {"store", "max-bytes"}, {}}},
       {"resume",
        {"resume",
