@@ -17,7 +17,8 @@ int main() {
         hw::SchemeKind::Prefetch, hw::SchemeKind::Composite}) {
     core::RunOptions opt;
     opt.scheme = k;
-    const auto rows = core::sweep_suite(core::base_machine(), opt);
+    const auto rows =
+        core::execute(core::plan_suite(core::base_machine()), opt).rows;
     t.add_row({hw::to_string(k),
                TextTable::num(core::average_improvement(
                    rows, core::Version::PureHardware)),

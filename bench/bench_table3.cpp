@@ -45,11 +45,12 @@ int main() {
   for (std::size_t k = 0; k < machines.size(); ++k) {
     core::RunOptions bypass;
     bypass.scheme = hw::SchemeKind::Bypass;
-    const auto byp_rows = core::sweep_suite(machines[k], bypass);
+    const core::CellPlan plan = core::plan_suite(machines[k]);
+    const auto byp_rows = core::execute(plan, bypass).rows;
 
     core::RunOptions victim;
     victim.scheme = hw::SchemeKind::Victim;
-    const auto vic_rows = core::sweep_suite(machines[k], victim);
+    const auto vic_rows = core::execute(plan, victim).rows;
 
     const auto avg = [](const std::vector<core::ImprovementRow>& rows,
                         core::Version v) {

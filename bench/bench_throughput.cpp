@@ -90,7 +90,8 @@ int main(int argc, char** argv) {
   std::printf("host: %u hardware thread(s)\n", hw_threads);
 
   auto t0 = std::chrono::steady_clock::now();
-  const auto serial_rows = selcache::core::sweep_suite(machine, opt);
+  const selcache::core::CellPlan plan = selcache::core::plan_suite(machine);
+  const auto serial_rows = selcache::core::execute(plan, opt).rows;
   const double serial_s = seconds_since(t0);
   const std::uint64_t accesses = total_accesses(serial_rows);
   const double serial_aps = static_cast<double>(accesses) / serial_s;
@@ -98,8 +99,8 @@ int main(int argc, char** argv) {
               serial_aps);
 
   t0 = std::chrono::steady_clock::now();
-  const auto parallel_rows = selcache::core::sweep_suite(
-      machine, opt, selcache::core::ParallelSweepOptions{.num_threads = threads});
+  const auto parallel_rows =
+      selcache::core::execute(plan, opt, {.threads = threads}).rows;
   const double parallel_s = seconds_since(t0);
   const double parallel_aps = static_cast<double>(accesses) / parallel_s;
   const double speedup = serial_s / parallel_s;
@@ -116,14 +117,14 @@ int main(int argc, char** argv) {
   taped.tape_cache = &cache;
 
   t0 = std::chrono::steady_clock::now();
-  const auto recorded_rows = selcache::core::sweep_suite(machine, taped);
+  const auto recorded_rows = selcache::core::execute(plan, taped).rows;
   const double record_s = seconds_since(t0);
   const double record_aps = static_cast<double>(accesses) / record_s;
   std::printf("tape rec:  %6.2fs  %12.0f accesses/s  (%zu tapes)\n", record_s,
               record_aps, cache.size());
 
   t0 = std::chrono::steady_clock::now();
-  const auto replayed_rows = selcache::core::sweep_suite(machine, taped);
+  const auto replayed_rows = selcache::core::execute(plan, taped).rows;
   const double replay_s = seconds_since(t0);
   const double replay_aps = static_cast<double>(accesses) / replay_s;
   const double replay_speedup = serial_s / replay_s;
@@ -149,13 +150,14 @@ int main(int argc, char** argv) {
     axis.push_back(m);
   }
   // Cell-level fan-out only helps with real cores.
-  const selcache::core::ParallelSweepOptions axis_par{
-      .num_threads = hw_threads > 1 ? threads : 1};
+  const selcache::core::ExecPolicy axis_par{
+      .threads = hw_threads > 1 ? threads : 1};
   const std::uint64_t axis_accesses =
       accesses * static_cast<std::uint64_t>(axis.size());
 
   t0 = std::chrono::steady_clock::now();
-  for (const auto& m : axis) selcache::core::sweep_suite(m, taped, axis_par);
+  for (const auto& m : axis)
+    selcache::core::execute(selcache::core::plan_suite(m), taped, axis_par);
   const double per_point_s = seconds_since(t0);
   std::printf("axis x%zu per-point: %6.2fs  %12.0f accesses/s\n",
               axis.size(), per_point_s,
@@ -173,13 +175,13 @@ int main(int argc, char** argv) {
   stored.result_store = &rstore;
 
   t0 = std::chrono::steady_clock::now();
-  const auto store_cold_rows = selcache::core::sweep_suite(machine, stored);
+  const auto store_cold_rows = selcache::core::execute(plan, stored).rows;
   const double store_cold_s = seconds_since(t0);
   std::printf("store cold:%6.2fs  (%llu cells written)\n", store_cold_s,
               static_cast<unsigned long long>(rstore.counters().writes));
 
   t0 = std::chrono::steady_clock::now();
-  const auto store_warm_rows = selcache::core::sweep_suite(machine, stored);
+  const auto store_warm_rows = selcache::core::execute(plan, stored).rows;
   const double store_warm_s = seconds_since(t0);
   const auto sc = rstore.counters();
   std::printf("store warm:%6.2fs  (%llu hits, %llu misses, %.1fx vs cold)\n",

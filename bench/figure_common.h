@@ -155,26 +155,21 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
   opt.tape_cache = &cache;
 
   // Persistent store: cells already on disk are loaded instead of simulated,
-  // and persisted tapes make even the cold cells replay-from-disk. A warm
-  // store turns a whole figure run into pure load + formatting.
+  // and persisted tapes make even the cold cells replay-from-disk (with
+  // every point's tapes preloaded, "recorded" below is really replayed). A
+  // warm store turns a whole figure run into pure load + formatting.
+  tape::TapeCache* const tapes = opt.reuse_tape ? &cache : nullptr;
   std::unique_ptr<store::ResultStore> rstore;
   if (!fopt.store_dir.empty()) {
     try {
-      rstore = std::make_unique<store::ResultStore>(
-          fopt.store_dir,
-          store::ResultStore::Options{.read_only = fopt.store_readonly});
+      rstore = store::open_sweep_store(fopt.store_dir, fopt.store_readonly,
+                                       fopt.store_clear, tapes);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: cannot open store: %s\n", e.what());
       return 2;
     }
-    if (fopt.store_clear) rstore->clear();
-    // Tapes persisted by an earlier run mean no cell needs the IR pipeline:
-    // when every point's tapes are preloaded, "recorded" below is really
-    // replayed-from-disk.
-    if (opt.reuse_tape) rstore->preload_tapes(cache);
     opt.result_store = rstore.get();
   }
-  const core::ParallelSweepOptions par{.num_threads = fopt.threads};
 
   // Graceful shutdown: a SIGINT/SIGTERM mid-axis finishes nothing torn —
   // the current machine point is abandoned between points, tapes and store
@@ -190,11 +185,14 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
                    "interrupted after %zu of %zu machine points; persisted "
                    "store entries stay valid for the next run\n",
                    i, points.size());
-      if (rstore != nullptr && opt.reuse_tape) rstore->persist_tapes(cache);
+      if (rstore != nullptr && tapes != nullptr) rstore->persist_tapes(cache);
       return support::SignalGuard::exit_code();
     }
     const auto t0 = std::chrono::steady_clock::now();
-    const auto rows = core::sweep_suite(points[i].machine, opt, par);
+    const auto rows =
+        core::execute(core::plan_suite(points[i].machine), opt,
+                      {.threads = fopt.threads})
+            .rows;
     const auto dt = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
@@ -214,20 +212,7 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
     std::printf("axis total: %zu machine points in %.1fs%s\n",
                 points.size(), total,
                 fopt.reuse_tape ? " (record-once/replay-many)" : "");
-  if (rstore != nullptr) {
-    std::size_t persisted = 0;
-    if (opt.reuse_tape) persisted = rstore->persist_tapes(cache);
-    const auto c = rstore->counters();
-    // Stats go to stderr so stdout stays byte-identical cold vs warm.
-    std::fprintf(stderr,
-                 "store: %llu hits, %llu misses (%llu corrupt), %llu cells"
-                 " written, %zu tapes persisted -> %s\n",
-                 static_cast<unsigned long long>(c.hits),
-                 static_cast<unsigned long long>(c.misses),
-                 static_cast<unsigned long long>(c.corrupt),
-                 static_cast<unsigned long long>(c.writes), persisted,
-                 rstore->dir().c_str());
-  }
+  if (rstore != nullptr) store::finish_sweep_store(*rstore, tapes);
   return 0;
 }
 

@@ -70,7 +70,8 @@ int main() {
                                      0, 0, 0};
 
   std::printf("%s\n", core::format_machine(machine).c_str());
-  const core::ImprovementRow row = core::improvements_for(info, machine);
+  const core::ImprovementRow row =
+      core::execute(core::plan_workload(info, machine)).rows.front();
   std::printf("spmv: base %llu cycles\n",
               static_cast<unsigned long long>(row.base_cycles));
   for (core::Version v : core::kEvaluatedVersions)

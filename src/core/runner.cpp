@@ -28,20 +28,22 @@ std::uint64_t l1_accesses(const RunResult& r) {
 
 }  // namespace
 
-/// Assemble one figure row from the five per-version results. Shared by the
-/// serial, parallel, and checkpoint paths so their outputs are bit-identical.
-ImprovementRow make_improvement_row(const workloads::WorkloadInfo& w,
-                                    const std::array<RunResult, 5>& results) {
+ImprovementRow make_improvement_row(
+    const workloads::WorkloadInfo& w,
+    const std::array<std::optional<RunResult>, 5>& results) {
   ImprovementRow row;
   row.benchmark = w.name;
   row.category = w.category;
-  row.base_cycles = results[0].cycles;
+  row.base_cycles = results[0] ? results[0]->cycles : 0;
   for (std::size_t i = 0; i < kAllVersions.size(); ++i) {
     const Version v = kAllVersions[i];
     if (v != Version::Base)
-      row.pct[v] = improvement_pct(row.base_cycles, results[i].cycles);
-    row.accesses += l1_accesses(results[i]);
-    row.stats.merge(results[i].stats, std::string(version_key(v)) + ".");
+      row.pct[v] = results[0] && results[i]
+                       ? improvement_pct(row.base_cycles, results[i]->cycles)
+                       : 0.0;
+    if (!results[i]) continue;
+    row.accesses += l1_accesses(*results[i]);
+    row.stats.merge(results[i]->stats, std::string(version_key(v)) + ".");
   }
   return row;
 }
@@ -284,6 +286,16 @@ std::string store_key(const workloads::WorkloadInfo& w, const MachineConfig& m,
          std::to_string(store::kStoreFormatVersion);
 }
 
+std::optional<RunResult> stored_result(const workloads::WorkloadInfo& w,
+                                       const MachineConfig& m, Version v,
+                                       const RunOptions& opt) {
+  if (opt.result_store == nullptr) return std::nullopt;
+  std::optional<store::StoredResult> hit =
+      opt.result_store->load(store_key(w, m, v, opt));
+  if (!hit) return std::nullopt;
+  return from_stored(*hit);
+}
+
 tape::Tape record_tape(const workloads::WorkloadInfo& w,
                        const MachineConfig& m, Version v,
                        const RunOptions& opt, RunResult* result,
@@ -323,12 +335,9 @@ RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
   // stored result is strictly cheaper than a replay). A miss falls through
   // to whichever execution path applies and persists its result.
   const bool stored = store_eligible(opt, trace_out);
-  std::string skey;
-  if (stored) {
-    skey = store_key(w, m, v, opt);
-    if (std::optional<store::StoredResult> hit = opt.result_store->load(skey))
-      return from_stored(*hit);
-  }
+  if (stored)
+    if (std::optional<RunResult> hit = stored_result(w, m, v, opt))
+      return std::move(*hit);
 
   RunResult result = [&]() -> RunResult {
     if (tape_eligible(opt)) {
@@ -359,245 +368,192 @@ RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
     return sim.collect();
   }();
 
-  if (stored) opt.result_store->save(skey, to_stored(result));
+  if (stored)
+    opt.result_store->save(store_key(w, m, v, opt), to_stored(result));
   return result;
 }
 
-namespace {
-
-/// Append one workload's five recordings to `traces` in kAllVersions order
-/// (the trace half of the determinism contract).
-void append_captures(const workloads::WorkloadInfo& w,
-                     std::array<trace::Recording, 5>& recs,
-                     std::vector<TraceCapture>* traces) {
-  if (traces == nullptr) return;
-  for (std::size_t i = 0; i < kAllVersions.size(); ++i)
-    traces->push_back({w.name, kAllVersions[i], std::move(recs[i])});
+CellPlan plan_suite(const MachineConfig& m) {
+  return {m, workloads::all_workloads()};
 }
 
-}  // namespace
-
-ImprovementRow improvements_for(const workloads::WorkloadInfo& w,
-                                const MachineConfig& m, const RunOptions& opt,
-                                const ParallelSweepOptions& par,
-                                std::vector<TraceCapture>* traces) {
-  std::array<RunResult, 5> results;
-  std::array<trace::Recording, 5> recs;
-  const bool tracing = traces != nullptr;
-  if (par.num_threads > 1) {
-    support::ThreadPool pool(par.num_threads);
-    std::array<std::future<RunResult>, 5> futures;
-    for (std::size_t i = 0; i < kAllVersions.size(); ++i)
-      futures[i] = pool.submit(
-          [&w, &m, v = kAllVersions[i], &opt,
-           tr = tracing ? &recs[i] : nullptr] {
-            return run_version(w, m, v, opt, tr);
-          });
-    for (std::size_t i = 0; i < kAllVersions.size(); ++i)
-      results[i] = futures[i].get();
-  } else {
-    for (std::size_t i = 0; i < kAllVersions.size(); ++i)
-      results[i] = run_version(w, m, kAllVersions[i], opt,
-                               tracing ? &recs[i] : nullptr);
-  }
-  append_captures(w, recs, traces);
-  return make_improvement_row(w, results);
-}
-
-std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
-                                        const RunOptions& opt,
-                                        const ParallelSweepOptions& par,
-                                        std::vector<TraceCapture>* traces) {
-  const auto& suite = workloads::all_workloads();
-  std::vector<ImprovementRow> rows;
-  rows.reserve(suite.size());
-
-  if (par.num_threads <= 1) {
-    for (const auto& w : suite)
-      rows.push_back(improvements_for(w, m, opt, {}, traces));
-    return rows;
-  }
-
-  // Fan out every (workload, version) pair as one task — 13x5 independent
-  // simulations, each owning its full machine state. Futures are collected
-  // in submission order, so assembly below is deterministic no matter how
-  // the pool schedules the work. Trace recordings follow the same contract:
-  // each task writes its own pre-allocated slot; captures are appended in
-  // (workload, version) order afterwards.
-  support::ThreadPool pool(par.num_threads);
-  std::vector<std::array<std::future<RunResult>, 5>> futures(suite.size());
-  std::vector<std::array<trace::Recording, 5>> recs(
-      traces != nullptr ? suite.size() : 0);
-  for (std::size_t wi = 0; wi < suite.size(); ++wi)
-    for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-      futures[wi][vi] = pool.submit(
-          [&w = suite[wi], &m, v = kAllVersions[vi], &opt,
-           tr = traces != nullptr ? &recs[wi][vi] : nullptr] {
-            return run_version(w, m, v, opt, tr);
-          });
-
-  for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-    std::array<RunResult, 5> results;
-    for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-      results[vi] = futures[wi][vi].get();
-    rows.push_back(make_improvement_row(suite[wi], results));
-    if (traces != nullptr) append_captures(suite[wi], recs[wi], traces);
-  }
-  return rows;
+CellPlan plan_workload(const workloads::WorkloadInfo& w,
+                       const MachineConfig& m) {
+  return {m, {w}};
 }
 
 namespace {
 
-/// One guarded (workload, version) cell of a resilient sweep.
+/// One cell after its attempt loop.
 struct CellRun {
-  std::optional<RunResult> result;  ///< nullopt when all attempts failed
+  CellState state = CellState::Pending;
+  bool suspended = false;
+  std::optional<RunResult> result;
   fault::CellOutcome outcome;
   trace::Recording recording;  ///< from the successful attempt (if any)
 };
 
-/// Run one cell with retry. Catches everything a simulation can throw —
-/// injected crashes, watchdog kills, internal check failures — so the
-/// caller's sweep loop never unwinds. Each attempt reseeds the injector
-/// deterministically and records into a fresh Recording, so a failed
-/// attempt leaves no partial trace behind.
-CellRun run_cell_guarded(const workloads::WorkloadInfo& w,
-                         const MachineConfig& m, std::size_t vi,
-                         const RunOptions& base_opt,
-                         const FaultSweepOptions& fopt, bool want_trace) {
-  const Version v = kAllVersions[vi];
-  CellRun cell;
-  cell.outcome.workload = w.name;
-  cell.outcome.version = version_key(v);
+/// A cell before it runs: named, no attempts, status Ok until one fails.
+CellRun blank_cell(const CellPlan& plan, std::size_t i, const RunOptions& opt) {
+  CellRun c;
+  c.outcome.workload = plan.workloads[i / kAllVersions.size()].name;
+  c.outcome.version = version_key(kAllVersions[i % kAllVersions.size()]);
+  c.outcome.attempts = 0;
+  c.outcome.fault_seed = opt.fault.seed;
+  return c;
+}
+
+/// The attempt loop: the one place a cell is run, retried, reseeded and
+/// reported. Without isolation the first exception propagates; with it
+/// every exception (injected crash, watchdog kill, internal check, cell
+/// deadline) fails only the attempt, and RunSuspended only the cell. Each
+/// attempt records into a fresh Recording, so a failed attempt leaves no
+/// partial trace behind.
+CellRun run_cell(const CellPlan& plan, std::size_t i, const RunOptions& opt,
+                 const ExecPolicy& policy) {
+  const workloads::WorkloadInfo& w = plan.workloads[i / kAllVersions.size()];
+  const std::size_t vi = i % kAllVersions.size();
+  const bool isolate = policy.retries.has_value();
+  CellRun cell = blank_cell(plan, i, opt);
   for (std::uint32_t attempt = 0;; ++attempt) {
-    RunOptions opt = base_opt;
-    opt.fault = fopt.fault;
-    opt.fault.seed = fault::task_seed(fopt.fault.seed, w.name,
+    std::optional<support::RunGuard> guard;
+    if (policy.hooks != nullptr &&
+        !policy.hooks->begin_attempt(i, attempt, guard)) {
+      cell.suspended = true;
+      return cell;
+    }
+    RunOptions o = opt;
+    if (isolate)
+      o.fault.seed = fault::task_seed(opt.fault.seed, w.name,
                                       static_cast<std::uint32_t>(vi), attempt);
-    opt.watchdog_accesses = fopt.watchdog_accesses;
-    opt.degrade = fopt.degrade;
-    cell.outcome.fault_seed = opt.fault.seed;
+    if (guard) o.run_guard = &*guard;
+    cell.outcome.fault_seed = o.fault.seed;
     cell.outcome.attempts = attempt + 1;
     trace::Recording rec;
+    std::string reason;
     try {
-      RunResult r = run_version(w, m, v, opt, want_trace ? &rec : nullptr);
-      cell.outcome.status = r.degradations > 0
-                                ? fault::CellOutcome::Status::Degraded
-                                : fault::CellOutcome::Status::Ok;
-      cell.outcome.faults_injected = r.faults_injected;
-      cell.outcome.degradations = r.degradations;
-      cell.outcome.error.clear();
-      cell.result = std::move(r);
-      cell.recording = std::move(rec);
+      cell.result = run_version(w, plan.machine, kAllVersions[vi], o,
+                                policy.trace ? &rec : nullptr);
+    } catch (const support::RunSuspended&) {
+      if (!isolate) throw;
+      cell.suspended = true;
       return cell;
     } catch (const std::exception& e) {
-      cell.outcome.status = fault::CellOutcome::Status::Failed;
-      cell.outcome.error = e.what();
-      cell.outcome.faults_injected = 0;
-      cell.outcome.degradations = 0;
-      if (attempt >= fopt.max_retries) return cell;
+      if (!isolate) throw;
+      reason = e.what();
     } catch (...) {
-      cell.outcome.status = fault::CellOutcome::Status::Failed;
-      cell.outcome.error = "unknown exception";
-      cell.outcome.faults_injected = 0;
-      cell.outcome.degradations = 0;
-      if (attempt >= fopt.max_retries) return cell;
+      if (!isolate) throw;
+      reason = "unknown exception";
+    }
+    if (cell.result) {
+      cell.state = CellState::Done;
+      cell.outcome.status = cell.result->degradations > 0
+                                ? fault::CellOutcome::Status::Degraded
+                                : fault::CellOutcome::Status::Ok;
+      cell.outcome.faults_injected = cell.result->faults_injected;
+      cell.outcome.degradations = cell.result->degradations;
+      cell.outcome.error.clear();
+      cell.recording = std::move(rec);
+      if (policy.hooks != nullptr)
+        policy.hooks->attempt_done(i, attempt, *cell.result);
+      return cell;
+    }
+    cell.outcome.status = fault::CellOutcome::Status::Failed;
+    cell.outcome.error = reason;
+    if (policy.hooks != nullptr)
+      policy.hooks->attempt_failed(i, attempt, reason);
+    if (attempt >= *policy.retries) {
+      cell.state = CellState::Failed;
+      if (policy.hooks != nullptr) policy.hooks->quarantined(i, reason);
+      return cell;
     }
   }
-}
-
-/// make_row over possibly-missing per-version results. A quarantined cell
-/// contributes 0.0 improvement (figure tables always render a full row);
-/// the FailureReport tells readers which numbers to trust.
-ImprovementRow make_row_partial(
-    const workloads::WorkloadInfo& w,
-    const std::array<std::optional<RunResult>, 5>& results) {
-  ImprovementRow row;
-  row.benchmark = w.name;
-  row.category = w.category;
-  row.base_cycles = results[0] ? results[0]->cycles : 0;
-  for (std::size_t i = 0; i < kAllVersions.size(); ++i) {
-    const Version v = kAllVersions[i];
-    if (v != Version::Base)
-      row.pct[v] = results[0] && results[i]
-                       ? improvement_pct(row.base_cycles, results[i]->cycles)
-                       : 0.0;
-    if (results[i]) {
-      row.accesses += l1_accesses(*results[i]);
-      row.stats.merge(results[i]->stats, std::string(version_key(v)) + ".");
-    }
-  }
-  return row;
-}
-
-/// Shared body of the resilient entry points: guard every (workload,
-/// version) cell, then assemble rows / report / captures in fixed order so
-/// the whole ResilientSweep is bit-identical at any thread count.
-ResilientSweep run_resilient(
-    const std::vector<const workloads::WorkloadInfo*>& suite,
-    const MachineConfig& m, const RunOptions& opt,
-    const ParallelSweepOptions& par, const FaultSweepOptions& fopt,
-    std::vector<TraceCapture>* traces) {
-  const bool tracing = traces != nullptr;
-  std::vector<std::array<CellRun, 5>> cells(suite.size());
-
-  if (par.num_threads > 1) {
-    support::ThreadPool pool(par.num_threads);
-    std::vector<std::array<std::future<CellRun>, 5>> futures(suite.size());
-    for (std::size_t wi = 0; wi < suite.size(); ++wi)
-      for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-        futures[wi][vi] =
-            pool.submit([w = suite[wi], &m, vi, &opt, &fopt, tracing] {
-              return run_cell_guarded(*w, m, vi, opt, fopt, tracing);
-            });
-    for (std::size_t wi = 0; wi < suite.size(); ++wi)
-      for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-        cells[wi][vi] = futures[wi][vi].get();
-  } else {
-    for (std::size_t wi = 0; wi < suite.size(); ++wi)
-      for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-        cells[wi][vi] = run_cell_guarded(*suite[wi], m, vi, opt, fopt,
-                                         tracing);
-  }
-
-  ResilientSweep out;
-  out.rows.reserve(suite.size());
-  out.report.cells.reserve(suite.size() * kAllVersions.size());
-  for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-    std::array<std::optional<RunResult>, 5> results;
-    for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi) {
-      results[vi] = std::move(cells[wi][vi].result);
-      out.report.cells.push_back(std::move(cells[wi][vi].outcome));
-    }
-    out.rows.push_back(make_row_partial(*suite[wi], results));
-    if (tracing)
-      for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-        traces->push_back({suite[wi]->name, kAllVersions[vi],
-                           std::move(cells[wi][vi].recording)});
-  }
-  return out;
 }
 
 }  // namespace
 
-ResilientSweep improvements_for_resilient(const workloads::WorkloadInfo& w,
-                                          const MachineConfig& m,
-                                          const RunOptions& opt,
-                                          const ParallelSweepOptions& par,
-                                          const FaultSweepOptions& fopt,
-                                          std::vector<TraceCapture>* traces) {
-  return run_resilient({&w}, m, opt, par, fopt, traces);
-}
+SweepResult execute(const CellPlan& plan, const RunOptions& opt,
+                    const ExecPolicy& policy) {
+  SELCACHE_CHECK_MSG(policy.hooks == nullptr || policy.retries,
+                     "cell hooks need failure isolation");
+  const std::size_t n = plan.size();
+  std::vector<CellRun> cells;
+  std::vector<std::size_t> pending;
+  cells.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cells.push_back(blank_cell(plan, i, opt));
+    std::optional<SettledCell> s;
+    if (policy.hooks != nullptr) s = policy.hooks->settled(i);
+    if (!s) {
+      pending.push_back(i);
+      continue;
+    }
+    CellRun& c = cells[i];
+    c.state = s->result ? CellState::Settled : CellState::Failed;
+    if (!s->result) c.outcome.status = fault::CellOutcome::Status::Failed;
+    c.outcome.error = std::move(s->reason);
+    c.result = std::move(s->result);
+  }
 
-ResilientSweep sweep_suite_resilient(const MachineConfig& m,
-                                     const RunOptions& opt,
-                                     const ParallelSweepOptions& par,
-                                     const FaultSweepOptions& fopt,
-                                     std::vector<TraceCapture>* traces) {
-  const auto& suite = workloads::all_workloads();
-  std::vector<const workloads::WorkloadInfo*> ptrs;
-  ptrs.reserve(suite.size());
-  for (const auto& w : suite) ptrs.push_back(&w);
-  return run_resilient(ptrs, m, opt, par, fopt, traces);
+  // Fan out over the pool, or run in plan order on this thread. Either way
+  // results land by cell index, so scheduling never reaches the output.
+  bool suspended = false;
+  if (policy.threads > 1 && pending.size() > 1) {
+    support::ThreadPool pool(policy.threads);
+    std::vector<std::future<CellRun>> futures;
+    futures.reserve(pending.size());
+    for (const std::size_t i : pending)
+      futures.push_back(pool.submit([&plan, i, &opt, &policy] {
+        return run_cell(plan, i, opt, policy);
+      }));
+    for (std::size_t k = 0; k < futures.size(); ++k) {
+      CellRun& c = cells[pending[k]];
+      try {
+        c = futures[k].get();
+      } catch (const std::future_error&) {
+        continue;  // dropped by request_stop() before it ran: pending
+      } catch (...) {
+        // Fail fast: drop every queued cell before the error reaches the
+        // caller, instead of letting ~ThreadPool simulate them first.
+        pool.request_stop();
+        throw;
+      }
+      if (c.suspended && !suspended) {
+        suspended = true;
+        // Cancel everything still queued. Running cells finish or unwind
+        // on their own guard; their futures resolve normally.
+        pool.request_stop();
+      }
+    }
+  } else {
+    for (const std::size_t i : pending) {
+      cells[i] = run_cell(plan, i, opt, policy);
+      if (cells[i].suspended) {
+        suspended = true;
+        break;
+      }
+    }
+  }
+
+  SweepResult out;
+  out.suspended = suspended;
+  out.rows.reserve(plan.workloads.size());
+  out.report.cells.reserve(n);
+  out.states.reserve(n);
+  for (std::size_t wi = 0; wi < plan.workloads.size(); ++wi) {
+    std::array<std::optional<RunResult>, 5> results;
+    for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi) {
+      CellRun& c = cells[wi * kAllVersions.size() + vi];
+      results[vi] = std::move(c.result);
+      out.states.push_back(c.state);
+      out.report.cells.push_back(std::move(c.outcome));
+      if (policy.trace)
+        out.traces.push_back({plan.workloads[wi].name, kAllVersions[vi],
+                              std::move(c.recording)});
+    }
+    out.rows.push_back(make_improvement_row(plan.workloads[wi], results));
+  }
+  return out;
 }
 
 double average_improvement(const std::vector<ImprovementRow>& rows, Version v,

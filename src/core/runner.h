@@ -1,20 +1,23 @@
 // Experiment runner: execute (workload x machine x version x scheme) and
 // report cycles, miss rates, and improvement over the Base version.
 //
-// The engine has two execution modes with one determinism contract:
-// every (workload, version) simulation owns all of its mutable state
-// (Hierarchy, HwScheme, Controller, TimingModel, DataEnv), so the parallel
-// fan-out runs the exact same per-simulation code as the serial loop and
-// merges results in fixed workload order — the output is bit-identical to
-// a serial sweep, regardless of thread count or scheduling.
+// Every sweep is a CellPlan of independent (workload, version) cells on one
+// machine, run by one executor (execute) under an ExecPolicy. Each cell's
+// simulation owns all of its mutable state (Hierarchy, HwScheme, Controller,
+// TimingModel, DataEnv), so the executor may run cells on any number of
+// threads and still merge rows, traces and the FailureReport in plan order —
+// the output is bit-identical to a serial run, regardless of thread count or
+// scheduling.
 #pragma once
 
 #include <array>
 #include <map>
+#include <optional>
 
 #include "core/versions.h"
 #include "fault/fault.h"
 #include "fault/report.h"
+#include "support/run_guard.h"
 #include "tape/tape.h"
 #include "trace/sink.h"
 #include "workloads/registry.h"
@@ -25,10 +28,6 @@ class TapeCache;
 
 namespace selcache::store {
 class ResultStore;
-}
-
-namespace selcache::support {
-class RunGuard;
 }
 
 namespace selcache::core {
@@ -76,13 +75,6 @@ struct RunOptions {
   support::RunGuard* run_guard = nullptr;
 };
 
-/// How to schedule the independent simulations of a sweep.
-struct ParallelSweepOptions {
-  /// Worker threads for the (workload, version) fan-out. 0 or 1 = run
-  /// serially on the calling thread (no pool is created).
-  unsigned num_threads = 0;
-};
-
 struct RunResult {
   Cycle cycles = 0;
   InstrCount instructions = 0;
@@ -102,6 +94,12 @@ struct RunResult {
 RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
                       Version v, const RunOptions& opt = {},
                       trace::Recording* trace_out = nullptr);
+
+/// The result `opt.result_store` holds for this cell, or nullopt (no store,
+/// a miss, or a rejected entry). Loads only; never simulates.
+std::optional<RunResult> stored_result(const workloads::WorkloadInfo& w,
+                                       const MachineConfig& m, Version v,
+                                       const RunOptions& opt);
 
 /// TapeCache key for one run: workload, version, plus a fingerprint of
 /// everything else the recorded stream depends on (data seed, optimization
@@ -162,11 +160,14 @@ struct ImprovementRow {
 };
 
 /// Assemble one figure row from the five per-version results (kAllVersions
-/// order). This is the exact row constructor the sweep engines use, exposed
-/// so the checkpoint engine can rebuild rows from per-cell results (stored
-/// or fresh) and stay bit-identical to an uninterrupted sweep.
-ImprovementRow make_improvement_row(const workloads::WorkloadInfo& w,
-                                    const std::array<RunResult, 5>& results);
+/// order). The only row builder: every sweep, fresh, faulted or resumed,
+/// goes through it, which is what keeps their outputs bit-identical. A
+/// missing result (failed or unfinished cell) contributes 0.0 improvement
+/// (every improvement is 0.0 when Base is missing) and nothing to accesses
+/// or stats; the FailureReport says which numbers to trust.
+ImprovementRow make_improvement_row(
+    const workloads::WorkloadInfo& w,
+    const std::array<std::optional<RunResult>, 5>& results);
 
 /// Fingerprint of every RunOptions field the recorded access stream depends
 /// on (data seed + optimization pipeline + method-predictor config). One
@@ -177,69 +178,86 @@ std::uint64_t stream_fingerprint(const RunOptions& opt);
 /// The other machine-side input of the run-ledger RunId.
 std::uint64_t machine_fingerprint(const MachineConfig& m);
 
-/// When `traces` is non-null, every per-version run is traced and its
-/// recording appended in fixed version order (the determinism contract
-/// extends to traces: each task records privately; captures are appended
-/// in kAllVersions order regardless of scheduling).
-ImprovementRow improvements_for(const workloads::WorkloadInfo& w,
-                                const MachineConfig& m,
-                                const RunOptions& opt = {},
-                                const ParallelSweepOptions& par = {},
-                                std::vector<TraceCapture>* traces = nullptr);
+/// An ordered plan of (workload, version) cells on one machine: cell i is
+/// (workloads[i / 5], kAllVersions[i % 5]), and each workload is one row of
+/// the result.
+struct CellPlan {
+  MachineConfig machine;
+  std::vector<workloads::WorkloadInfo> workloads;
 
-/// Whole-suite sweep (all 13 benchmarks) for one machine+scheme. With
-/// par.num_threads > 1 the 13x5 independent simulations fan out over a
-/// worker pool; results are merged in workload order and are bit-identical
-/// to the serial sweep. `traces` (optional) collects per-(workload, version)
-/// recordings in (workload, version) order — also bit-identical across
-/// thread counts.
-std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
-                                        const RunOptions& opt = {},
-                                        const ParallelSweepOptions& par = {},
-                                        std::vector<TraceCapture>* traces = nullptr);
-
-/// Controls for a failure-isolated ("resilient") sweep: the fault campaign
-/// applied to every cell, how often a failed cell is retried, and the
-/// degradation policy armed in each controller.
-struct FaultSweepOptions {
-  /// Per-cell fault campaign. `fault.seed` is the SWEEP-level base seed;
-  /// each (workload, version, attempt) derives its own injector seed via
-  /// fault::task_seed, so results are reproducible at any thread count and
-  /// every retry sees a fresh but deterministic fault stream.
-  fault::FaultConfig fault{};
-  /// Re-attempts after a failed cell (attempts = max_retries + 1).
-  std::uint32_t max_retries = 1;
-  /// Per-cell access watchdog (0 = off).
-  std::uint64_t watchdog_accesses = 0;
-  /// Degradation policy armed in every cell's controller.
-  hw::DegradePolicy degrade{};
+  std::size_t size() const { return workloads.size() * kAllVersions.size(); }
 };
 
-/// Result of a resilient sweep: the usual figure rows plus the per-cell
-/// outcome ledger. A failed cell contributes 0.0 improvement to its row
-/// (and nothing to its stats); the FailureReport is the source of truth
-/// for which cells are valid.
-struct ResilientSweep {
-  std::vector<ImprovementRow> rows;
-  fault::FailureReport report;
+/// The whole 13-benchmark suite on machine `m`, in Table 2 order.
+CellPlan plan_suite(const MachineConfig& m);
+
+/// The five versions of one workload on machine `m`.
+CellPlan plan_workload(const workloads::WorkloadInfo& w,
+                       const MachineConfig& m);
+
+/// Where a cell stands after execute().
+enum class CellState : std::uint8_t {
+  Done,     ///< simulated by this call
+  Settled,  ///< taken as is from CellHooks::settled (a stored result)
+  Failed,   ///< every attempt failed (or settled as quarantined)
+  Pending,  ///< never finished: the run suspended first
 };
 
-/// Failure-isolated version of improvements_for: each (workload, version)
-/// cell runs guarded, so an injected crash, watchdog kill, or any other
-/// exception fails only that cell. Never throws for per-cell failures.
-ResilientSweep improvements_for_resilient(
-    const workloads::WorkloadInfo& w, const MachineConfig& m,
-    const RunOptions& opt, const ParallelSweepOptions& par,
-    const FaultSweepOptions& fopt,
-    std::vector<TraceCapture>* traces = nullptr);
+/// A cell a previous run already settled: its stored result, or (no
+/// result) the reason it was quarantined.
+struct SettledCell {
+  std::optional<RunResult> result;
+  std::string reason;
+};
 
-/// Failure-isolated version of sweep_suite. Rows, FailureReport, and trace
-/// captures are merged in fixed (workload, version) order — bit-identical
-/// for any par.num_threads, like the un-faulted engine.
-ResilientSweep sweep_suite_resilient(
-    const MachineConfig& m, const RunOptions& opt,
-    const ParallelSweepOptions& par, const FaultSweepOptions& fopt,
-    std::vector<TraceCapture>* traces = nullptr);
+/// Policy attached to the executor's attempt loop by the checkpoint engine:
+/// journal every transition, supervise and pace each attempt, and skip the
+/// cells an earlier run settled. Attempt numbers are 0-based per call.
+/// Called from worker threads: implementations synchronize themselves.
+class CellHooks {
+ public:
+  /// Called once per cell on the calling thread before any cell runs.
+  virtual std::optional<SettledCell> settled(std::size_t cell) = 0;
+  /// Before each attempt: back off, then return false to suspend the cell
+  /// instead of running it. May arm `guard`, which supervises the attempt.
+  virtual bool begin_attempt(std::size_t cell, std::uint32_t attempt,
+                             std::optional<support::RunGuard>& guard) = 0;
+  virtual void attempt_done(std::size_t cell, std::uint32_t attempt,
+                            const RunResult& r) = 0;
+  virtual void attempt_failed(std::size_t cell, std::uint32_t attempt,
+                              const std::string& reason) = 0;
+  virtual void quarantined(std::size_t cell, const std::string& reason) = 0;
+
+ protected:
+  ~CellHooks() = default;  ///< never owned or deleted through this interface
+};
+
+/// How execute() runs a plan.
+struct ExecPolicy {
+  unsigned threads = 0;  ///< 0/1 = serially on the calling thread
+  /// Failure isolation. Unset: the first cell that throws stops the sweep
+  /// (queued cells are dropped) and its exception propagates. Set to N:
+  /// every cell gets up to N+1 attempts, attempt k reseeding the fault
+  /// injector with fault::task_seed(opt.fault.seed, workload, version
+  /// index, k), and a cell that fails them all is reported, not thrown.
+  std::optional<std::uint32_t> retries = std::nullopt;
+  bool trace = false;          ///< record every cell's phase trace
+  CellHooks* hooks = nullptr;  ///< checkpoint policy (needs `retries`)
+};
+
+/// Everything a plan produced, merged in plan order.
+struct SweepResult {
+  std::vector<ImprovementRow> rows;  ///< one per plan workload
+  fault::FailureReport report;       ///< one outcome per cell
+  std::vector<CellState> states;     ///< one per cell
+  std::vector<TraceCapture> traces;  ///< one per cell when policy.trace
+  bool suspended = false;  ///< a hook or guard suspended some cell
+};
+
+/// Run every cell of `plan` under `opt` and `policy`. The one sweep engine:
+/// the CLI, the figure benches and the checkpoint engine all run through it.
+SweepResult execute(const CellPlan& plan, const RunOptions& opt = {},
+                    const ExecPolicy& policy = {});
 
 /// Average of a version's improvement across rows, optionally filtered by
 /// category (nullptr = all).

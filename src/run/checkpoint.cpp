@@ -6,7 +6,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <future>
+#include <map>
 #include <memory>
 #include <thread>
 
@@ -14,7 +14,7 @@
 #include "support/fingerprint.h"
 #include "support/io.h"
 #include "support/run_guard.h"
-#include "support/thread_pool.h"
+#include "support/table.h"
 #include "tape/cache.h"
 
 namespace selcache::run {
@@ -63,18 +63,6 @@ std::uint64_t result_fingerprint(const core::RunResult& r) {
   return h;
 }
 
-core::RunResult from_stored(const store::StoredResult& s) {
-  core::RunResult r;
-  r.cycles = s.cycles;
-  r.instructions = s.instructions;
-  r.l1_miss_rate = s.l1_miss_rate;
-  r.l2_miss_rate = s.l2_miss_rate;
-  r.conflict_share = s.conflict_share;
-  r.toggles = s.toggles;
-  r.stats = s.stats;
-  return r;
-}
-
 /// Crash hook for the kill-resume test harness: SELCACHE_CRASH_AFTER_CELLS=N
 /// raises SIGKILL immediately after the N-th `done` record of this process
 /// is journaled (and therefore durable). Parsed once per execute().
@@ -103,108 +91,114 @@ struct CellHistory {
   std::string reason;
 };
 
-/// Outcome of executing (or skipping) one cell in this process.
-struct CellExec {
-  enum class State { Done, Stored, Quarantined, Suspended, Pending };
-  State state = State::Pending;
-  std::optional<core::RunResult> result;
-  std::uint32_t attempts = 0;  ///< attempts made by THIS call
-  std::uint32_t failed = 0;    ///< failed attempts by THIS call
-  std::string reason;
-};
-
 std::string cell_name(const workloads::WorkloadInfo& w, std::size_t vi) {
   return w.name + "/" + core::version_key(core::kAllVersions[vi]);
 }
 
-/// Everything one execute() call shares across cell tasks.
-struct Engine {
-  const RunSpec& spec;
+/// The checkpoint policy on core::execute's attempt loop: journal every
+/// transition, supervise each attempt with a RunGuard (stop token, cell and
+/// run deadlines), back off between attempts, and settle the cells whose
+/// `done` record the store still substantiates.
+struct Journaled final : core::CellHooks {
   const CheckpointOptions& opts;
-  core::MachineConfig machine;
-  core::RunOptions base_opt;
-  std::vector<const workloads::WorkloadInfo*> suite;
-  std::unique_ptr<store::ResultStore> store;
-  std::unique_ptr<JournalWriter> journal;
-  tape::TapeCache tapes;
+  const core::CellPlan& plan;
+  const core::RunOptions& opt;
+  JournalWriter& journal;
+  const std::vector<CellHistory>& history;
   CrashHook crash;
   std::atomic<bool> journal_failed{false};
-  bool has_run_deadline = false;
-  support::RunGuard::Clock::time_point run_deadline{};
+  std::atomic<std::uint64_t> failed_attempts{0};
+  std::optional<support::RunGuard::Clock::time_point> run_deadline;
 
-  Engine(const RunSpec& s, const CheckpointOptions& o) : spec(s), opts(o) {}
+  Journaled(const CheckpointOptions& o, const core::CellPlan& p,
+            const core::RunOptions& ro, JournalWriter& j,
+            const std::vector<CellHistory>& h)
+      : opts(o), plan(p), opt(ro), journal(j), history(h) {
+    if (opts.run_deadline_ms > 0)
+      run_deadline = support::RunGuard::Clock::now() +
+                     std::chrono::milliseconds(opts.run_deadline_ms);
+  }
 
-  bool append(const JournalRecord& rec) {
-    if (journal->append(rec)) return true;
-    journal_failed.store(true, std::memory_order_relaxed);
-    return false;
+  const workloads::WorkloadInfo& workload(std::size_t i) const {
+    return plan.workloads[i / core::kAllVersions.size()];
+  }
+  std::string name(std::size_t i) const {
+    return cell_name(workload(i), i % core::kAllVersions.size());
+  }
+  /// Attempt number across every run of this cell, as journaled.
+  std::uint64_t nth(std::size_t i, std::uint32_t attempt) const {
+    return std::uint64_t{history[i].attempts} + attempt;
+  }
+
+  void append(const JournalRecord& rec) {
+    if (!journal.append(rec))
+      journal_failed.store(true, std::memory_order_relaxed);
   }
 
   bool stop_requested() const {
     if (opts.stop != nullptr &&
         opts.stop->load(std::memory_order_relaxed) != 0)
       return true;
-    return has_run_deadline &&
-           support::RunGuard::Clock::now() > run_deadline;
+    return run_deadline && support::RunGuard::Clock::now() > *run_deadline;
   }
 
-  CellExec run_cell(std::size_t wi, std::size_t vi,
-                    std::uint32_t attempts_base) {
-    const workloads::WorkloadInfo& w = *suite[wi];
-    const core::Version v = core::kAllVersions[vi];
-    const std::string cell = cell_name(w, vi);
-    CellExec out;
-    for (std::uint32_t attempt = 0; attempt <= opts.cell_retries; ++attempt) {
-      if (attempt > 0 && opts.retry_backoff_ms > 0)
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(retry_backoff_delay_ms(
-                opts.retry_backoff_ms, w.name, vi, attempts_base + attempt)));
-      // Suspend at the attempt boundary too, so a stop raised while this
-      // task was backing off never starts another multi-second simulation.
-      if (stop_requested()) {
-        out.state = CellExec::State::Suspended;
-        return out;
-      }
-      ++out.attempts;
-      append(JournalRecord("started")
-                 .add("cell", cell)
-                 .add("attempt", std::uint64_t{attempts_base + attempt})
-                 .add("seed", base_opt.data_seed));
-      support::RunGuard guard(opts.stop);
-      guard.arm_cell_deadline(opts.cell_deadline_ms);
-      if (has_run_deadline) guard.arm_run_deadline(run_deadline);
-      core::RunOptions opt = base_opt;
-      opt.run_guard = &guard;
-      try {
-        core::RunResult r = core::run_version(w, machine, v, opt);
-        append(JournalRecord("done")
-                   .add("cell", cell)
-                   .add("fp", result_fingerprint(r))
-                   .add("attempt", std::uint64_t{attempts_base + attempt}));
-        crash.tick();
-        out.state = CellExec::State::Done;
-        out.result = std::move(r);
-        return out;
-      } catch (const support::RunSuspended&) {
-        // No record: the cell simply never finished. Resume re-plans it.
-        out.state = CellExec::State::Suspended;
-        return out;
-      } catch (const std::exception& e) {
-        out.reason = e.what();
-      } catch (...) {
-        out.reason = "unknown exception";
-      }
-      ++out.failed;
-      append(JournalRecord("failed")
-                 .add("cell", cell)
-                 .add("attempt", std::uint64_t{attempts_base + attempt})
-                 .add("reason", out.reason));
-    }
+  std::optional<core::SettledCell> settled(std::size_t i) override {
+    if (history[i].quarantined)
+      return core::SettledCell{std::nullopt, history[i].reason};
+    if (!history[i].done) return std::nullopt;
+    // A `done` record is trusted only when the stored result round-trips
+    // with the journaled fingerprint; a lost, torn or drifted store file
+    // re-runs the cell.
+    std::optional<core::RunResult> r = core::stored_result(
+        workload(i), plan.machine,
+        core::kAllVersions[i % core::kAllVersions.size()], opt);
+    if (!r || result_fingerprint(*r) != history[i].done_fp)
+      return std::nullopt;
+    return core::SettledCell{std::move(r), ""};
+  }
+
+  bool begin_attempt(std::size_t i, std::uint32_t attempt,
+                     std::optional<support::RunGuard>& guard) override {
+    if (attempt > 0 && opts.retry_backoff_ms > 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          retry_backoff_delay_ms(opts.retry_backoff_ms, workload(i).name,
+                                 i % core::kAllVersions.size(),
+                                 static_cast<std::uint32_t>(nth(i, attempt)))));
+    // Suspend at the attempt boundary, so a stop raised while this task was
+    // queued or backing off never starts another multi-second simulation.
+    if (stop_requested()) return false;
+    append(JournalRecord("started")
+               .add("cell", name(i))
+               .add("attempt", nth(i, attempt))
+               .add("seed", opt.data_seed));
+    guard.emplace(opts.stop);
+    guard->arm_cell_deadline(opts.cell_deadline_ms);
+    if (run_deadline) guard->arm_run_deadline(*run_deadline);
+    return true;
+  }
+
+  void attempt_done(std::size_t i, std::uint32_t attempt,
+                    const core::RunResult& r) override {
+    append(JournalRecord("done")
+               .add("cell", name(i))
+               .add("fp", result_fingerprint(r))
+               .add("attempt", nth(i, attempt)));
+    crash.tick();
+  }
+
+  void attempt_failed(std::size_t i, std::uint32_t attempt,
+                      const std::string& reason) override {
+    failed_attempts.fetch_add(1, std::memory_order_relaxed);
+    append(JournalRecord("failed")
+               .add("cell", name(i))
+               .add("attempt", nth(i, attempt))
+               .add("reason", reason));
+  }
+
+  void quarantined(std::size_t i, const std::string& reason) override {
     append(JournalRecord("quarantined")
-               .add("cell", cell)
-               .add("reason", out.reason));
-    out.state = CellExec::State::Quarantined;
-    return out;
+               .add("cell", name(i))
+               .add("reason", reason));
   }
 };
 
@@ -214,13 +208,10 @@ struct Engine {
 void flush_ledger(const std::string& run_dir,
                   const std::vector<CellOutcome>& cells) {
   std::string csv = "workload,version,status,attempts,reason\n";
-  for (const CellOutcome& c : cells) {
-    std::string reason = c.reason;
-    for (char& ch : reason)
-      if (ch == ',' || ch == '\n' || ch == '\r') ch = ' ';
-    csv += c.workload + "," + c.version + "," + c.status + "," +
-           std::to_string(c.attempts) + "," + reason + "\n";
-  }
+  for (const CellOutcome& c : cells)
+    csv += csv_field(c.workload) + "," + csv_field(c.version) + "," +
+           c.status + "," + std::to_string(c.attempts) + "," +
+           csv_field(c.reason) + "\n";
   support::write_file_atomic(ledger_path(run_dir), csv);
 }
 
@@ -230,15 +221,12 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
   CheckpointOutcome out;
   out.id = run_id(spec);
 
-  Engine eng(spec, opts);
-
   const std::optional<core::MachineConfig> m =
       core::machine_by_name(spec.machine);
   if (!m) {
     out.error = "unknown machine '" + spec.machine + "'";
     return out;
   }
-  eng.machine = *m;
   const std::optional<hw::SchemeKind> scheme =
       scheme_by_short_name(spec.scheme);
   if (!scheme) {
@@ -246,15 +234,16 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
     return out;
   }
 
+  core::CellPlan plan;
   if (spec.kind == "sweep") {
     try {
-      eng.suite.push_back(&workloads::workload(spec.workload));
+      plan = core::plan_workload(workloads::workload(spec.workload), *m);
     } catch (const std::exception&) {
       out.error = "unknown workload '" + spec.workload + "'";
       return out;
     }
   } else if (spec.kind == "suite") {
-    for (const auto& w : workloads::all_workloads()) eng.suite.push_back(&w);
+    plan = core::plan_suite(*m);
   } else {
     out.error = "unknown run kind '" + spec.kind + "'";
     return out;
@@ -266,238 +255,115 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
     out.error = "cannot create run directory: " + ec.message();
     return out;
   }
+  tape::TapeCache tapes;
+  std::unique_ptr<store::ResultStore> store;
   try {
-    eng.store = std::make_unique<store::ResultStore>(store_dir(run_dir));
+    store = store::open_sweep_store(store_dir(run_dir), false, false,
+                                    spec.reuse_tape ? &tapes : nullptr);
   } catch (const std::exception& e) {
     out.error = e.what();
     return out;
   }
 
-  eng.base_opt.scheme = *scheme;
-  eng.base_opt.reuse_tape = spec.reuse_tape;
-  eng.base_opt.tape_cache = &eng.tapes;
-  eng.base_opt.result_store = eng.store.get();
-  if (spec.reuse_tape) eng.store->preload_tapes(eng.tapes);
+  core::RunOptions opt;
+  opt.scheme = *scheme;
+  opt.reuse_tape = spec.reuse_tape;
+  opt.tape_cache = &tapes;
+  opt.result_store = store.get();
 
-  eng.journal = std::make_unique<JournalWriter>(journal_path(run_dir));
-  if (!eng.journal->ok()) {
-    out.error = "cannot open journal: " + eng.journal->last_error();
+  JournalWriter journal(journal_path(run_dir));
+  if (!journal.ok()) {
+    out.error = "cannot open journal: " + journal.last_error();
     return out;
-  }
-  if (opts.run_deadline_ms > 0) {
-    eng.has_run_deadline = true;
-    eng.run_deadline = support::RunGuard::Clock::now() +
-                       std::chrono::milliseconds(opts.run_deadline_ms);
   }
 
   // Replay history (attempt counts, done fingerprints, quarantines) from
   // the existing journal, or lay down the header + plan for a fresh run.
-  const std::size_t n_cells = eng.suite.size() * core::kAllVersions.size();
+  const std::size_t n_cells = plan.size();
   std::vector<CellHistory> history(n_cells);
-  auto cell_index = [&](const std::string& name) -> std::size_t {
-    for (std::size_t wi = 0; wi < eng.suite.size(); ++wi)
-      for (std::size_t vi = 0; vi < core::kAllVersions.size(); ++vi)
-        if (cell_name(*eng.suite[wi], vi) == name)
-          return wi * core::kAllVersions.size() + vi;
-    return n_cells;  // unknown cell (foreign journal line): ignored
-  };
+  Journaled hooks(opts, plan, opt, journal, history);
+  std::map<std::string, std::size_t> index;
+  for (std::size_t i = 0; i < n_cells; ++i) index.emplace(hooks.name(i), i);
 
   if (existing.records.empty()) {
-    eng.append(to_record(spec));
-    for (std::size_t wi = 0; wi < eng.suite.size(); ++wi)
-      for (std::size_t vi = 0; vi < core::kAllVersions.size(); ++vi)
-        eng.append(JournalRecord("planned")
-                       .add("cell", cell_name(*eng.suite[wi], vi)));
+    hooks.append(to_record(spec));
+    for (std::size_t i = 0; i < n_cells; ++i)
+      hooks.append(JournalRecord("planned").add("cell", hooks.name(i)));
   } else {
     for (const JournalRecord& rec : existing.records) {
       const std::string* cell = rec.find("cell");
       if (cell == nullptr) continue;
-      const std::size_t i = cell_index(*cell);
-      if (i >= n_cells) continue;
-      if (rec.type == "started") ++history[i].attempts;
+      const auto it = index.find(*cell);
+      if (it == index.end()) continue;  // foreign journal line: ignored
+      CellHistory& h = history[it->second];
+      if (rec.type == "started") ++h.attempts;
       if (rec.type == "done") {
-        history[i].done = true;
-        history[i].done_fp = rec.get_u64("fp");
+        h.done = true;
+        h.done_fp = rec.get_u64("fp");
       }
-      if (rec.type == "failed") history[i].reason = rec.get("reason");
+      if (rec.type == "failed") h.reason = rec.get("reason");
       if (rec.type == "quarantined") {
-        history[i].quarantined = true;
-        history[i].reason = rec.get("reason");
+        h.quarantined = true;
+        h.reason = rec.get("reason");
       }
     }
   }
 
-  // Settle every cell: trusted `done` results load from the store; the
-  // rest (planned, started-but-unfinished, done-but-unverifiable) re-run.
-  std::vector<CellExec> cells(n_cells);
-  std::vector<std::size_t> pending;
-  for (std::size_t wi = 0; wi < eng.suite.size(); ++wi) {
-    for (std::size_t vi = 0; vi < core::kAllVersions.size(); ++vi) {
-      const std::size_t i = wi * core::kAllVersions.size() + vi;
-      if (history[i].quarantined) {
-        cells[i].state = CellExec::State::Quarantined;
-        cells[i].reason = history[i].reason;
-        continue;
-      }
-      if (history[i].done) {
-        const std::string key = core::store_key(
-            *eng.suite[wi], eng.machine, core::kAllVersions[vi], eng.base_opt);
-        if (std::optional<store::StoredResult> hit = eng.store->load(key)) {
-          core::RunResult r = from_stored(*hit);
-          if (result_fingerprint(r) == history[i].done_fp) {
-            cells[i].state = CellExec::State::Stored;
-            cells[i].result = std::move(r);
-            continue;
-          }
-        }
-        // The journal promised a result the store cannot substantiate
-        // (lost, torn, or drifted file). The cell re-runs.
-      }
-      pending.push_back(i);
-    }
-  }
-
-  // Execute pending cells. Both paths submit/iterate in fixed cell order
-  // and merge results by index, so scheduling never affects the output.
-  bool suspended = false;
-  if (opts.threads > 1 && pending.size() > 1) {
-    support::ThreadPool pool(opts.threads);
-    std::vector<std::future<CellExec>> futures;
-    futures.reserve(pending.size());
-    for (const std::size_t i : pending)
-      futures.push_back(pool.submit([&eng, i, n = core::kAllVersions.size(),
-                                     a = history[i].attempts] {
-        return eng.run_cell(i / n, i % n, a);
-      }));
-    for (std::size_t fi = 0; fi < futures.size(); ++fi) {
-      try {
-        cells[pending[fi]] = futures[fi].get();
-      } catch (const std::future_error&) {
-        // Dropped by request_stop() before it ran: still pending.
-        cells[pending[fi]].state = CellExec::State::Pending;
-      }
-      if (cells[pending[fi]].state == CellExec::State::Suspended &&
-          !suspended) {
-        suspended = true;
-        // First suspension observed: cancel everything still queued. Cells
-        // already running finish or unwind on their own guard; their
-        // futures below resolve normally or as Suspended.
-        pool.request_stop();
-      }
-    }
-  } else {
-    for (const std::size_t i : pending) {
-      if (suspended || eng.stop_requested()) {
-        cells[i].state = suspended ? CellExec::State::Pending
-                                   : CellExec::State::Suspended;
-        if (!suspended) suspended = true;
-        continue;
-      }
-      cells[i] = eng.run_cell(i / core::kAllVersions.size(),
-                              i % core::kAllVersions.size(),
-                              history[i].attempts);
-      if (cells[i].state == CellExec::State::Suspended) suspended = true;
-    }
-  }
+  core::SweepResult res = core::execute(
+      plan, opt,
+      {.threads = opts.threads, .retries = opts.cell_retries, .hooks = &hooks});
 
   // Tally + outcome ledger in fixed (workload, version) order.
   bool all_terminal = true;
-  for (std::size_t wi = 0; wi < eng.suite.size(); ++wi) {
-    for (std::size_t vi = 0; vi < core::kAllVersions.size(); ++vi) {
-      const std::size_t i = wi * core::kAllVersions.size() + vi;
-      const CellExec& c = cells[i];
-      CellOutcome o;
-      o.workload = eng.suite[wi]->name;
-      o.version = core::version_key(core::kAllVersions[vi]);
-      o.attempts = history[i].attempts + c.attempts;
-      o.reason = c.reason;
-      out.failed_attempts += c.failed;
-      switch (c.state) {
-        case CellExec::State::Done:
-          o.status = "done";
-          ++out.cells_done;
-          break;
-        case CellExec::State::Stored:
-          o.status = "stored";
-          ++out.cells_from_store;
-          break;
-        case CellExec::State::Quarantined:
-          o.status = "quarantined";
-          ++out.cells_quarantined;
-          break;
-        default:
-          o.status = "pending";
-          all_terminal = false;
-          break;
-      }
-      out.cells.push_back(std::move(o));
+  for (std::size_t i = 0; i < n_cells; ++i) {
+    const fault::CellOutcome& c = res.report.cells[i];
+    CellOutcome o{c.workload, c.version, "pending",
+                  history[i].attempts + c.attempts, c.error};
+    switch (res.states[i]) {
+      case core::CellState::Done:
+        o.status = "done";
+        ++out.cells_done;
+        break;
+      case core::CellState::Settled:
+        o.status = "stored";
+        ++out.cells_from_store;
+        break;
+      case core::CellState::Failed:
+        o.status = "quarantined";
+        ++out.cells_quarantined;
+        break;
+      case core::CellState::Pending:
+        all_terminal = false;
+        break;
     }
+    out.cells.push_back(std::move(o));
   }
+  out.failed_attempts = hooks.failed_attempts.load();
 
-  if (spec.reuse_tape) eng.store->persist_tapes(eng.tapes);
+  if (spec.reuse_tape) store->persist_tapes(tapes);
 
-  out.suspended = suspended || (!all_terminal && eng.stop_requested());
+  out.suspended = res.suspended || (!all_terminal && hooks.stop_requested());
   out.complete = all_terminal && !out.suspended;
   if (out.suspended) {
-    eng.append(JournalRecord("suspended")
-                   .add("cells_done", out.cells_done)
-                   .add("cells_from_store", out.cells_from_store));
+    hooks.append(JournalRecord("suspended")
+                     .add("cells_done", out.cells_done)
+                     .add("cells_from_store", out.cells_from_store));
   } else if (out.complete) {
-    eng.append(JournalRecord("complete")
-                   .add("cells_done", out.cells_done)
-                   .add("cells_from_store", out.cells_from_store)
-                   .add("cells_quarantined", out.cells_quarantined));
+    hooks.append(JournalRecord("complete")
+                     .add("cells_done", out.cells_done)
+                     .add("cells_from_store", out.cells_from_store)
+                     .add("cells_quarantined", out.cells_quarantined));
   }
   flush_ledger(run_dir, out.cells);
 
   // Rows only for a finished run: a suspended sweep has no figure yet (the
-  // whole point is that `resume` produces it later, byte-identical).
-  if (out.complete) {
-    out.rows.reserve(eng.suite.size());
-    for (std::size_t wi = 0; wi < eng.suite.size(); ++wi) {
-      std::array<std::optional<core::RunResult>, 5> partial;
-      std::array<core::RunResult, 5> full;
-      bool have_all = true;
-      for (std::size_t vi = 0; vi < core::kAllVersions.size(); ++vi) {
-        CellExec& c = cells[wi * core::kAllVersions.size() + vi];
-        if (c.result) {
-          full[vi] = *c.result;
-          partial[vi] = std::move(c.result);
-        } else {
-          have_all = false;
-        }
-      }
-      // The full-row constructor is the one the plain sweep engines use —
-      // that shared code path is what makes resumed output byte-identical.
-      // Rows with quarantined cells render 0.0 for the missing versions
-      // (same convention as the resilient engine); byte-equality against
-      // an uninterrupted run is only claimed for quarantine-free runs.
-      if (have_all) {
-        out.rows.push_back(core::make_improvement_row(*eng.suite[wi], full));
-      } else {
-        core::ImprovementRow row;
-        row.benchmark = eng.suite[wi]->name;
-        row.category = eng.suite[wi]->category;
-        row.base_cycles = partial[0] ? partial[0]->cycles : 0;
-        for (std::size_t vi = 0; vi < core::kAllVersions.size(); ++vi) {
-          const core::Version v = core::kAllVersions[vi];
-          if (v != core::Version::Base)
-            row.pct[v] = partial[0] && partial[vi]
-                             ? improvement_pct(row.base_cycles,
-                                               partial[vi]->cycles)
-                             : 0.0;
-          if (partial[vi]) {
-            row.stats.merge(partial[vi]->stats,
-                            std::string(core::version_key(v)) + ".");
-          }
-        }
-        out.rows.push_back(std::move(row));
-      }
-    }
-  }
+  // whole point is that `resume` produces it later, byte-identical). Rows
+  // with quarantined cells render 0.0 for the missing versions; byte
+  // equality with an uninterrupted run holds for quarantine-free runs.
+  if (out.complete) out.rows = std::move(res.rows);
 
-  if (eng.journal_failed.load(std::memory_order_relaxed))
-    out.error = "journal append failed: " + eng.journal->last_error();
+  if (hooks.journal_failed.load(std::memory_order_relaxed))
+    out.error = "journal append failed: " + journal.last_error();
   return out;
 }
 

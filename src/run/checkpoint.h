@@ -16,21 +16,24 @@
 //     promise about history, the store is re-verified every resume;
 //   * everything else (planned/started/failed) re-plans the cell.
 //
-// Suspension: the engine polls a stop token (typically a SignalGuard's)
-// and an optional whole-run deadline at access granularity via
-// support::RunGuard. A trip abandons the in-flight cells (RunSuspended
-// unwinds them; their partial state is task-local), drains the pool
-// cooperatively, appends a `suspended` record, flushes the cells.csv
-// ledger, and returns with outcome.suspended set. Nothing torn is left
-// behind: every artifact goes through the atomic writer, and the journal
-// reader drops a torn tail by design.
+// The cells run through core::execute; this engine supplies its policy
+// (core::CellHooks): journal records, the cells already settled, retry
+// backoff and a per-attempt support::RunGuard.
+//
+// Suspension: each attempt polls a stop token (typically a SignalGuard's)
+// and an optional whole-run deadline at access granularity. A trip
+// abandons the in-flight cells (RunSuspended unwinds them; their partial
+// state is task-local), drops the queued ones, appends a `suspended`
+// record, flushes the cells.csv ledger, and returns with outcome.suspended
+// set. Nothing torn is left behind: every artifact goes through the atomic
+// writer, and the journal reader drops a torn tail by design.
 //
 // Failure: a cell attempt that throws anything else (injected crash,
 // internal check, cell wall-clock deadline) is retried up to
 // opts.cell_retries times with bounded exponential backoff and
 // deterministic seed-derived jitter, then quarantined. Quarantined cells
-// contribute 0.0 improvement to their row, mirroring the resilient sweep
-// engine's convention.
+// contribute 0.0 improvement to their row, like any failed cell of an
+// isolated core::execute sweep.
 #pragma once
 
 #include <atomic>

@@ -402,4 +402,28 @@ void ResultStore::clear() {
       fs::remove(e.path(), ec);
 }
 
+std::unique_ptr<ResultStore> open_sweep_store(const std::string& dir,
+                                              bool read_only, bool clear,
+                                              tape::TapeCache* tapes) {
+  auto s = std::make_unique<ResultStore>(
+      dir, ResultStore::Options{.read_only = read_only});
+  if (clear) s->clear();
+  if (tapes != nullptr) s->preload_tapes(*tapes);
+  return s;
+}
+
+void finish_sweep_store(ResultStore& s, const tape::TapeCache* tapes) {
+  const std::size_t persisted =
+      tapes != nullptr ? s.persist_tapes(*tapes) : 0;
+  const StoreCounters c = s.counters();
+  std::fprintf(stderr,
+               "store: %llu hits, %llu misses (%llu corrupt), %llu"
+               " cells written, %zu tapes persisted -> %s\n",
+               static_cast<unsigned long long>(c.hits),
+               static_cast<unsigned long long>(c.misses),
+               static_cast<unsigned long long>(c.corrupt),
+               static_cast<unsigned long long>(c.writes), persisted,
+               s.dir().c_str());
+}
+
 }  // namespace selcache::store

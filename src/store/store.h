@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -149,5 +150,17 @@ class ResultStore {
   StoreCounters counters_;
   std::string last_write_error_;
 };
+
+/// Open the store at `dir` for one sweep: create it (read-only when asked),
+/// empty it when `clear`, and preload its persisted tapes into `tapes`
+/// (nullptr = the sweep does not reuse tapes). Throws like the constructor.
+std::unique_ptr<ResultStore> open_sweep_store(const std::string& dir,
+                                              bool read_only, bool clear,
+                                              tape::TapeCache* tapes);
+
+/// Close a sweep on `s`: persist the tapes it recorded into `tapes`
+/// (nullptr = none) and print the "store: N hits, ..." line to stderr, so
+/// stdout stays byte-identical between a cold and a warm run.
+void finish_sweep_store(ResultStore& s, const tape::TapeCache* tapes);
 
 }  // namespace selcache::store

@@ -132,7 +132,7 @@ TEST(Runner, RunsAreReproducible) {
 
 TEST(Runner, ImprovementRowCoversAllVersions) {
   const ImprovementRow row =
-      improvements_for(demo_info(), base_machine());
+      execute(plan_workload(demo_info(), base_machine())).rows[0];
   EXPECT_EQ(row.pct.size(), 4u);
   EXPECT_GT(row.base_cycles, 0u);
   // The hostile column-walk makes software optimization clearly positive.
@@ -155,7 +155,7 @@ TEST(Runner, EmptyWorkloadSweepIsDegenerateNotFatal) {
       0.0, 0.0, 0.0};
   const std::uint64_t before = improvement_pct_degenerate_count().load();
   ImprovementRow row;
-  ASSERT_NO_THROW(row = improvements_for(w, base_machine()));
+  ASSERT_NO_THROW(row = execute(plan_workload(w, base_machine())).rows[0]);
   EXPECT_EQ(row.base_cycles, 0u);
   for (const auto& [v, pct] : row.pct) EXPECT_DOUBLE_EQ(pct, 0.0);
   EXPECT_GT(improvement_pct_degenerate_count().load(), before);

@@ -52,7 +52,8 @@ WorkloadInfo phase_info() {
 }
 
 TEST(Integration, SoftwareOptimizationBeatsBaseOnHostileCode) {
-  const ImprovementRow row = improvements_for(phase_info(), base_machine());
+  const ImprovementRow row =
+      execute(plan_workload(phase_info(), base_machine())).rows[0];
   EXPECT_GT(row.pct.at(Version::PureSoftware), 3.0);
 }
 
@@ -60,7 +61,7 @@ TEST(Integration, SelectiveAtLeastMatchesCombinedBypass) {
   RunOptions opt;
   opt.scheme = hw::SchemeKind::Bypass;
   const ImprovementRow row =
-      improvements_for(phase_info(), base_machine(), opt);
+      execute(plan_workload(phase_info(), base_machine()), opt).rows[0];
   EXPECT_GE(row.pct.at(Version::Selective),
             row.pct.at(Version::Combined) - 0.25);
 }
@@ -69,7 +70,7 @@ TEST(Integration, SelectiveAtLeastMatchesCombinedVictim) {
   RunOptions opt;
   opt.scheme = hw::SchemeKind::Victim;
   const ImprovementRow row =
-      improvements_for(phase_info(), base_machine(), opt);
+      execute(plan_workload(phase_info(), base_machine()), opt).rows[0];
   EXPECT_GE(row.pct.at(Version::Selective),
             row.pct.at(Version::Combined) - 0.25);
 }
@@ -79,7 +80,7 @@ TEST(Integration, VictimCacheNeverBelowBase) {
   RunOptions opt;
   opt.scheme = hw::SchemeKind::Victim;
   const ImprovementRow row =
-      improvements_for(phase_info(), base_machine(), opt);
+      execute(plan_workload(phase_info(), base_machine()), opt).rows[0];
   EXPECT_GE(row.pct.at(Version::PureHardware), -0.1);
 }
 
@@ -110,7 +111,8 @@ TEST(Integration, SelectiveTogglesScaleWithPhases) {
 
 TEST(Integration, PerlSelectiveMatchesPureHardwareShape) {
   const auto& w = workloads::workload("Perl");
-  const ImprovementRow row = improvements_for(w, base_machine());
+  const ImprovementRow row =
+      execute(plan_workload(w, base_machine())).rows[0];
   // Perl is all-hardware: selective ~ pure hardware (within toggle noise).
   EXPECT_NEAR(row.pct.at(Version::Selective),
               row.pct.at(Version::PureHardware), 1.0);
@@ -120,7 +122,8 @@ TEST(Integration, PerlSelectiveMatchesPureHardwareShape) {
 
 TEST(Integration, Q6SelectiveCombinesBothWorlds) {
   const auto& w = workloads::workload("TPC-D,Q6");
-  const ImprovementRow row = improvements_for(w, base_machine());
+  const ImprovementRow row =
+      execute(plan_workload(w, base_machine())).rows[0];
   EXPECT_GE(row.pct.at(Version::Selective),
             row.pct.at(Version::PureSoftware) - 0.25);
   EXPECT_GE(row.pct.at(Version::Selective),

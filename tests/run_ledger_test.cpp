@@ -288,7 +288,8 @@ TEST_F(CheckpointTest, FreshCompleteRunMatchesPlainEngine) {
   EXPECT_EQ(out.cells_quarantined, 0u);
 
   const auto& w = workloads::workload("TPC-D,Q6");
-  const auto plain = core::improvements_for(w, core::base_machine(), {});
+  const auto plain =
+      core::execute(core::plan_workload(w, core::base_machine())).rows[0];
   expect_rows_equal(out.rows[0], plain);
 
   // The journal records the whole lifecycle and ends complete.
@@ -322,7 +323,8 @@ TEST_F(CheckpointTest, PreTrippedStopTokenSuspendsBeforeAnyCell) {
   ASSERT_EQ(res.rows.size(), 1u);
   const auto& w = workloads::workload("TPC-D,Q6");
   expect_rows_equal(res.rows[0],
-                    core::improvements_for(w, core::base_machine(), {}));
+                    core::execute(core::plan_workload(w, core::base_machine()))
+                        .rows[0]);
 }
 
 TEST_F(CheckpointTest, ResumeOfCompleteRunLoadsEverythingFromStore) {
@@ -398,7 +400,74 @@ TEST_F(CheckpointTest, ExpiredRunDeadlineSuspendsResumably) {
   EXPECT_TRUE(res.complete);
   const auto& w = workloads::workload("TPC-D,Q6");
   expect_rows_equal(res.rows[0],
-                    core::improvements_for(w, core::base_machine(), {}));
+                    core::execute(core::plan_workload(w, core::base_machine()))
+                        .rows[0]);
+}
+
+/// Minimal RFC-4180 reader: rows of fields, honouring quoted fields with
+/// doubled quotes and embedded commas/newlines.
+std::vector<std::vector<std::string>> read_csv(const std::string& text) {
+  std::vector<std::vector<std::string>> rows(1);
+  std::string field;
+  bool quoted = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted) {
+      if (c != '"') {
+        field += c;
+      } else if (i + 1 < text.size() && text[i + 1] == '"') {
+        field += '"';
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      rows.back().push_back(std::move(field));
+      field.clear();
+    } else if (c == '\n') {
+      rows.back().push_back(std::move(field));
+      field.clear();
+      rows.emplace_back();
+    } else {
+      field += c;
+    }
+  }
+  if (rows.back().empty()) rows.pop_back();
+  return rows;
+}
+
+TEST_F(CheckpointTest, LedgerQuotesReasonsAsOneCsvField) {
+  // Lay down the run, then journal a quarantine whose reason holds every
+  // CSV-special byte; the resume settles it and rewrites cells.csv.
+  std::atomic<int> stop{1};
+  CheckpointOptions opts;
+  opts.stop = &stop;
+  ASSERT_TRUE(run_checkpointed(dir_, demo_spec(), opts).suspended);
+  const std::string reason = "bad, \"worse\"\nworst";
+  {
+    JournalWriter j((fs::path(dir_) / "journal.wal").string());
+    ASSERT_TRUE(j.append(JournalRecord("quarantined")
+                             .add("cell", "TPC-D,Q6/base")
+                             .add("reason", reason)));
+  }
+  stop.store(0);
+  const auto res = resume_checkpointed(dir_, opts);
+  ASSERT_TRUE(res.complete);
+  EXPECT_EQ(res.cells_quarantined, 1u);
+
+  std::ifstream in(fs::path(dir_) / "cells.csv");
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const auto rows = read_csv(text);
+  ASSERT_EQ(rows.size(), 1u + core::kAllVersions.size());
+  for (const auto& row : rows) ASSERT_EQ(row.size(), 5u);
+  EXPECT_EQ(rows[1][0], "TPC-D,Q6");
+  EXPECT_EQ(rows[1][1], "base");
+  EXPECT_EQ(rows[1][2], "quarantined");
+  EXPECT_EQ(rows[1][4], reason);
+  EXPECT_EQ(rows[2][2], "done");
 }
 
 }  // namespace

@@ -25,8 +25,10 @@ class SelectiveProperty : public ::testing::TestWithParam<Case> {
   ImprovementRow row() const {
     RunOptions opt;
     opt.scheme = GetParam().scheme;
-    return improvements_for(workloads::workload(GetParam().workload),
-                            base_machine(), opt);
+    return execute(plan_workload(workloads::workload(GetParam().workload),
+                                 base_machine()),
+                   opt)
+        .rows[0];
   }
 };
 
@@ -71,7 +73,9 @@ TEST_P(VictimNeverHurts, PureHardwareVictimNonNegative) {
   RunOptions opt;
   opt.scheme = hw::SchemeKind::Victim;
   const ImprovementRow r =
-      improvements_for(workloads::workload(GetParam()), base_machine(), opt);
+      execute(plan_workload(workloads::workload(GetParam()), base_machine()),
+              opt)
+          .rows[0];
   EXPECT_GE(r.pct.at(Version::PureHardware), -0.1);
 }
 
@@ -103,8 +107,10 @@ TEST(SelectiveScaling, HigherAssociativityShrinksHardwareValue) {
   const auto& w = workloads::workload("Perl");
   RunOptions opt;
   opt.scheme = hw::SchemeKind::Bypass;
-  const ImprovementRow base = improvements_for(w, base_machine(), opt);
-  const ImprovementRow assoc = improvements_for(w, higher_l1_assoc(), opt);
+  const ImprovementRow base =
+      execute(plan_workload(w, base_machine()), opt).rows[0];
+  const ImprovementRow assoc =
+      execute(plan_workload(w, higher_l1_assoc()), opt).rows[0];
   EXPECT_LE(assoc.pct.at(Version::PureHardware),
             base.pct.at(Version::PureHardware) + 1.0);
 }

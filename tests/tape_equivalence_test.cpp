@@ -47,9 +47,9 @@ void expect_results_identical(const RunResult& a, const RunResult& b) {
 /// and the replaying pass of a reuse_tape sweep are both bit-identical to
 /// the plain interpreted sweep.
 TEST(TapeEquivalence, FullMatrixRecordAndReplayMatchInterpret) {
-  const MachineConfig m = base_machine();
+  const CellPlan plan = plan_suite(base_machine());
   RunOptions plain;
-  const auto interpreted = sweep_suite(m, plain);
+  const auto interpreted = execute(plan, plain).rows;
 
   tape::TapeCache cache;
   RunOptions taped = plain;
@@ -58,13 +58,13 @@ TEST(TapeEquivalence, FullMatrixRecordAndReplayMatchInterpret) {
 
   // First pass: every cell records (cache is empty). Results come from the
   // instrumented interpretation, so they must match exactly.
-  const auto recorded = sweep_suite(m, taped);
+  const auto recorded = execute(plan, taped).rows;
   expect_rows_identical(interpreted, recorded);
   EXPECT_EQ(cache.size(), interpreted.size() * kAllVersions.size());
 
   // Second pass: every cell replays from the cache. Same machine, and the
   // replay must reproduce the interpreted run bit for bit.
-  const auto replayed = sweep_suite(m, taped);
+  const auto replayed = execute(plan, taped).rows;
   expect_rows_identical(interpreted, replayed);
   EXPECT_EQ(cache.size(), interpreted.size() * kAllVersions.size())
       << "replay pass must not record new tapes";
@@ -177,19 +177,17 @@ TEST(TapeEquivalence, FaultArmedRunsFallBackToInterpretation) {
 /// reuse_tape sweep (workers racing on the once-per-key claims) is
 /// bit-identical to the serial reuse_tape sweep and to plain interpretation.
 TEST(TapeEquivalence, ParallelReuseTapeSweepIsBitIdentical) {
-  const MachineConfig m = base_machine();
-  const auto interpreted = sweep_suite(m, RunOptions{});
+  const CellPlan plan = plan_suite(base_machine());
+  const auto interpreted = execute(plan).rows;
 
   tape::TapeCache cache;
   RunOptions taped;
   taped.reuse_tape = true;
   taped.tape_cache = &cache;
-  const auto parallel_recorded =
-      sweep_suite(m, taped, ParallelSweepOptions{.num_threads = 4});
+  const auto parallel_recorded = execute(plan, taped, {.threads = 4}).rows;
   expect_rows_identical(interpreted, parallel_recorded);
 
-  const auto parallel_replayed =
-      sweep_suite(m, taped, ParallelSweepOptions{.num_threads = 4});
+  const auto parallel_replayed = execute(plan, taped, {.threads = 4}).rows;
   expect_rows_identical(interpreted, parallel_replayed);
 }
 

@@ -247,11 +247,12 @@ TEST(TracedRun, TracingDoesNotPerturbSimulationResults) {
 TEST(TracedRun, ParallelTracesBitIdenticalToSerial) {
   core::RunOptions opt;
   opt.trace_epoch = 5000;
-  std::vector<core::TraceCapture> serial, parallel;
-  core::improvements_for(demo_info(), core::base_machine(), opt,
-                         {.num_threads = 1}, &serial);
-  core::improvements_for(demo_info(), core::base_machine(), opt,
-                         {.num_threads = 4}, &parallel);
+  const core::CellPlan plan =
+      core::plan_workload(demo_info(), core::base_machine());
+  const std::vector<core::TraceCapture> serial =
+      core::execute(plan, opt, {.threads = 1, .trace = true}).traces;
+  const std::vector<core::TraceCapture> parallel =
+      core::execute(plan, opt, {.threads = 4, .trace = true}).traces;
 
   ASSERT_EQ(serial.size(), core::kAllVersions.size());
   ASSERT_EQ(parallel.size(), serial.size());

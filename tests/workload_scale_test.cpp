@@ -54,14 +54,16 @@ TEST(ScaleGuard, RegularCodesGetDoubleDigitSoftwareWins) {
   // The pure-software story must not silently regress.
   for (const char* name : {"Vpenta", "Adi"}) {
     const auto row =
-        core::improvements_for(workload(name), core::base_machine());
+        core::execute(core::plan_workload(workload(name), core::base_machine()))
+            .rows[0];
     EXPECT_GT(row.pct.at(core::Version::PureSoftware), 30.0) << name;
   }
 }
 
 TEST(ScaleGuard, PerlKeepsItsHardwareWin) {
   const auto row =
-      core::improvements_for(workload("Perl"), core::base_machine());
+      core::execute(core::plan_workload(workload("Perl"), core::base_machine()))
+          .rows[0];
   EXPECT_GT(row.pct.at(core::Version::PureHardware), 3.0);
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build and run the multi-threaded portions of the suite under
-# ThreadSanitizer: the parallel sweep runner, the thread pool, tape
-# record/replay under concurrency, and the fault-resilient sweep.
+# ThreadSanitizer: the cell executor (plain, fault-isolated and
+# checkpointed sweeps), the thread pool, and tape record/replay under
+# concurrency.
 #
 #   tools/run_tsan_tests.sh [extra ctest args...]
 #
@@ -36,19 +37,24 @@ fi
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
   parallel_runner_test thread_pool_test tape_test tape_equivalence_test \
-  fault_test selcache
+  fault_test run_ledger_test selcache
 
-# The concurrency-heavy tests: parallel sweep determinism, the pool itself,
-# tape record/replay equivalence (shared tape cache), and the resilient
-# sweep's failure isolation.
+# The concurrency-heavy tests: executor determinism and fail-fast, the pool
+# itself, tape record/replay equivalence (shared tape cache), failure
+# isolation, and the checkpoint engine (journal appends from worker tasks).
 ctest --preset tsan -j 2 \
-  -R 'ParallelSweep|ThreadPool|Tape|Resilient|FaultSweep|parallel' "$@"
+  -R 'ParallelSweep|ThreadPool|Tape|Resilient|FaultSweep|parallel|Executor|Checkpoint|Journal' "$@"
 
 # A real multi-threaded sweep end to end (4 workers over the full matrix),
-# plus the same under fault injection: the paths where sweep tasks share
-# the tape cache, trace sinks, and the failure report.
+# the same under fault injection, and a checkpointed suite: the paths where
+# sweep tasks share the tape cache, trace sinks, the failure report, the
+# journal and the run directory's store.
 build-tsan/tools/selcache sweep --workload Compress --threads 4 > /dev/null
 build-tsan/tools/selcache sweep --workload Compress --threads 4 \
   --inject-faults --fault-kind toggle-drop --fault-rate 0.5 \
   --fault-seed 2026 --fault-budget 64 > /dev/null
+run_dir="$(mktemp -d)"
+trap 'rm -rf "$probe_dir" "$run_dir"' EXIT
+build-tsan/tools/selcache suite --run-dir "$run_dir/run" --threads 4 \
+  > /dev/null
 echo "run_tsan_tests: all thread-sanitized tests passed"

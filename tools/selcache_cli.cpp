@@ -425,11 +425,11 @@ int write_trace_dir(const std::vector<core::TraceCapture>& traces,
   return 0;
 }
 
-/// Parse --threads into `par` (non-negative integer). Returns false after a
-/// diagnostic on a malformed value.
+/// Parse --threads into `threads` (non-negative integer). Returns false
+/// after a diagnostic on a malformed value.
 bool parse_threads_flag(const std::map<std::string, std::string>& flags,
-                        core::ParallelSweepOptions* par) {
-  std::uint64_t t = par->num_threads;
+                        unsigned* threads) {
+  std::uint64_t t = *threads;
   if (!parse_u64_flag(flags, "threads", &t)) return false;
   if (t > 4096) {
     std::fprintf(stderr,
@@ -438,7 +438,7 @@ bool parse_threads_flag(const std::map<std::string, std::string>& flags,
                  flags.at("threads").c_str());
     return false;
   }
-  par->num_threads = static_cast<unsigned>(t);
+  *threads = static_cast<unsigned>(t);
   return true;
 }
 
@@ -479,33 +479,36 @@ bool parse_fault_common(const std::map<std::string, std::string>& flags,
   return true;
 }
 
-/// Parse the sweep/suite resilience flags. `*active` comes back true when
-/// the resilient engine should run (--inject-faults, or a watchdog alone).
+/// Parse the sweep/suite resilience flags into `opt` and `policy`. Failure
+/// isolation (policy->retries) is on with --inject-faults, or a watchdog
+/// alone; without it the degradation flags arm nothing.
 bool parse_sweep_fault_flags(const std::map<std::string, std::string>& flags,
-                             core::FaultSweepOptions* fopt, bool* active) {
-  if (!parse_fault_common(flags, &fopt->fault, &fopt->degrade,
-                          &fopt->watchdog_accesses))
+                             core::RunOptions* opt, core::ExecPolicy* policy) {
+  if (!parse_fault_common(flags, &opt->fault, &opt->degrade,
+                          &opt->watchdog_accesses))
     return false;
-  std::uint64_t retries = fopt->max_retries;
+  std::uint64_t retries = 1;
   if (!parse_u64_flag(flags, "max-retries", &retries)) return false;
   if (retries > 100) {
     std::fprintf(stderr,
                  "selcache: flag '--max-retries' out of range (max 100)\n");
     return false;
   }
-  fopt->max_retries = static_cast<std::uint32_t>(retries);
   const bool inject = flags.count("inject-faults") > 0;
-  if (!inject && fopt->fault.kind != fault::FaultKind::None) {
+  if (!inject && opt->fault.kind != fault::FaultKind::None) {
     std::fprintf(stderr,
                  "selcache: fault flags require '--inject-faults'\n");
     return false;
   }
-  if (inject && fopt->fault.kind == fault::FaultKind::None) {
+  if (inject && opt->fault.kind == fault::FaultKind::None) {
     std::fprintf(stderr,
                  "selcache: '--inject-faults' requires '--fault-kind'\n");
     return false;
   }
-  *active = inject || fopt->watchdog_accesses > 0;
+  if (inject || opt->watchdog_accesses > 0)
+    policy->retries = static_cast<std::uint32_t>(retries);
+  else
+    opt->degrade = {};
   return true;
 }
 
@@ -722,17 +725,10 @@ int cmd_tape(const std::string& wname, const std::string& vname,
   return 0;
 }
 
-/// The tape cache a store-enabled sweep records into / replays from.
-tape::TapeCache& sweep_tape_cache(const core::RunOptions& opt) {
-  return opt.tape_cache != nullptr ? *opt.tape_cache
-                                   : tape::TapeCache::global();
-}
-
 /// Open the persistent result store requested by --store/--store-readonly/
-/// --store-clear into `opt`. Returns the owning handle (nullptr when no
-/// store was requested); sets *ok=false after a one-line diagnostic on
-/// misuse or an un-creatable directory. Preloads persisted tapes when the
-/// sweep replays tapes, so figure-style warm runs skip recording too.
+/// --store-clear into `opt` (see store::open_sweep_store). Returns nullptr
+/// when no store was requested; sets *ok=false after a one-line diagnostic
+/// on misuse or an un-creatable directory.
 std::unique_ptr<store::ResultStore> open_store_flags(
     const std::map<std::string, std::string>& flags, core::RunOptions* opt,
     bool* ok) {
@@ -756,10 +752,9 @@ std::unique_ptr<store::ResultStore> open_store_flags(
     return nullptr;
   }
   try {
-    auto s = std::make_unique<store::ResultStore>(
-        flags.at("store"), store::ResultStore::Options{.read_only = read_only});
-    if (clear) s->clear();
-    if (opt->reuse_tape) s->preload_tapes(sweep_tape_cache(*opt));
+    auto s = store::open_sweep_store(
+        flags.at("store"), read_only, clear,
+        opt->reuse_tape ? opt->tape_cache : nullptr);
     opt->result_store = s.get();
     return s;
   } catch (const std::exception& e) {
@@ -767,24 +762,6 @@ std::unique_ptr<store::ResultStore> open_store_flags(
     *ok = false;
     return nullptr;
   }
-}
-
-/// Persist freshly recorded tapes and report the store's hit/miss ledger.
-/// Accounting goes to stderr: stdout must stay byte-identical between a
-/// cold and a warm run.
-void finish_store(store::ResultStore* s, const core::RunOptions& opt) {
-  if (s == nullptr) return;
-  std::size_t tapes = 0;
-  if (opt.reuse_tape) tapes = s->persist_tapes(sweep_tape_cache(opt));
-  const store::StoreCounters c = s->counters();
-  std::fprintf(stderr,
-               "store: %llu hits, %llu misses (%llu corrupt), %llu cells"
-               " written, %zu tapes persisted -> %s\n",
-               static_cast<unsigned long long>(c.hits),
-               static_cast<unsigned long long>(c.misses),
-               static_cast<unsigned long long>(c.corrupt),
-               static_cast<unsigned long long>(c.writes), tapes,
-               s->dir().c_str());
 }
 
 /// `selcache store ACTION --store DIR` — inspect or prune a store.
@@ -843,11 +820,21 @@ int cmd_store(const std::string& action,
   return 2;
 }
 
-/// One sweep's stdout block: the header line plus the four evaluated
-/// versions. Shared by the plain, resilient, and checkpointed paths so a
-/// resumed run is byte-identical to an uninterrupted one.
-void print_sweep_row(const core::ImprovementRow& row,
-                     const std::string& machine_name, hw::SchemeKind scheme) {
+/// A sweep's or suite's stdout block: for a sweep (`one_row`) the header
+/// line plus the four evaluated versions, for a suite the figure table.
+/// Shared by the plain and checkpointed paths so a resumed run is
+/// byte-identical to an uninterrupted one.
+void print_rows(const std::vector<core::ImprovementRow>& rows,
+                const std::string& machine_name, hw::SchemeKind scheme,
+                bool one_row) {
+  if (!one_row) {
+    std::printf("%s", core::format_figure(machine_name + " (" +
+                                              hw::to_string(scheme) + ")",
+                                          rows)
+                          .c_str());
+    return;
+  }
+  const core::ImprovementRow& row = rows.front();
   std::printf("%s on %s (%s scheme): base %llu cycles\n", row.benchmark.c_str(),
               machine_name.c_str(), hw::to_string(scheme),
               static_cast<unsigned long long>(row.base_cycles));
@@ -877,9 +864,7 @@ int emit_figure_files(const std::vector<core::ImprovementRow>& rows,
 /// `resume`. Returns false after a one-line diagnostic.
 bool parse_checkpoint_options(const std::map<std::string, std::string>& flags,
                               run::CheckpointOptions* copts) {
-  core::ParallelSweepOptions par;
-  if (!parse_threads_flag(flags, &par)) return false;
-  copts->threads = par.num_threads;
+  if (!parse_threads_flag(flags, &copts->threads)) return false;
   if (!parse_u64_flag(flags, "deadline-ms", &copts->run_deadline_ms))
     return false;
   if (!parse_u64_flag(flags, "cell-deadline-ms", &copts->cell_deadline_ms))
@@ -927,14 +912,7 @@ int finish_checkpoint(const std::string& run_dir, const run::RunSpec& spec,
                  out.id.c_str());
     return 2;
   }
-  if (spec.kind == "sweep") {
-    print_sweep_row(out.rows.front(), machine->name, *scheme);
-  } else {
-    std::printf("%s", core::format_figure(machine->name + " (" +
-                                              hw::to_string(*scheme) + ")",
-                                          out.rows)
-                          .c_str());
-  }
+  print_rows(out.rows, machine->name, *scheme, spec.kind == "sweep");
   const int rc = emit_figure_files(out.rows, spec.csv_out, spec.jsonl_out);
   if (rc != 0) return rc;
   std::fprintf(stderr,
@@ -1036,6 +1014,48 @@ int cmd_resume(const std::string& run_dir,
   return finish_checkpoint(run_dir, st.spec, out);
 }
 
+/// Parse the flags every plain sweep and suite shares into `opt`/`policy`:
+/// --reuse-tape, --threads, --epoch.
+bool parse_sweep_flags(const std::map<std::string, std::string>& flags,
+                       core::RunOptions* opt, core::ExecPolicy* policy) {
+  opt->reuse_tape = flags.count("reuse-tape") > 0;
+  return parse_threads_flag(flags, &policy->threads) &&
+         parse_epoch_flag(flags, &opt->trace_epoch);
+}
+
+/// The plain (uncheckpointed) path behind `sweep` and `suite`: one plan
+/// through the cell executor, then rows, traces, the failure ledger (for
+/// isolated runs), the store summary and the figure files. Traces are
+/// flushed before the failure ledger — a ledger row must never exist
+/// without the trace data it points at — and both are attempted even if
+/// the first fails; the first error wins.
+int run_sweep(const core::CellPlan& plan, core::RunOptions opt,
+              core::ExecPolicy policy,
+              const std::map<std::string, std::string>& flags) {
+  if (!parse_sweep_fault_flags(flags, &opt, &policy)) return 2;
+  tape::TapeCache tapes;
+  opt.tape_cache = &tapes;
+  bool store_ok = true;
+  const auto rstore = open_store_flags(flags, &opt, &store_ok);
+  if (!store_ok) return 2;
+  policy.trace = flags.count("trace-dir") > 0;
+  const core::SweepResult res = core::execute(plan, opt, policy);
+  print_rows(res.rows, plan.machine.name, opt.scheme,
+             plan.workloads.size() == 1);
+  int rc = 0;
+  if (policy.trace) rc = write_trace_dir(res.traces, flags.at("trace-dir"));
+  if (policy.retries) {
+    const int frc = emit_failure_report(res.report, flags);
+    if (rc == 0) rc = frc;
+  }
+  if (rstore != nullptr)
+    store::finish_sweep_store(*rstore, opt.reuse_tape ? &tapes : nullptr);
+  const int erc = emit_figure_files(
+      res.rows, flags.count("csv-out") ? flags.at("csv-out") : "",
+      flags.count("jsonl-out") ? flags.at("jsonl-out") : "");
+  return rc != 0 ? rc : erc;
+}
+
 int cmd_sweep(const std::map<std::string, std::string>& flags) {
   const auto* w = workload_by_name(flags.count("workload")
                                        ? flags.at("workload")
@@ -1051,43 +1071,9 @@ int cmd_sweep(const std::map<std::string, std::string>& flags) {
 
   core::RunOptions opt;
   opt.scheme = *scheme;
-  opt.reuse_tape = flags.count("reuse-tape") > 0;
-  if (!parse_epoch_flag(flags, &opt.trace_epoch)) return 2;
-  core::ParallelSweepOptions par;
-  if (!parse_threads_flag(flags, &par)) return 2;
-  core::FaultSweepOptions fopt;
-  bool faulted = false;
-  if (!parse_sweep_fault_flags(flags, &fopt, &faulted)) return 2;
-  bool store_ok = true;
-  const auto rstore = open_store_flags(flags, &opt, &store_ok);
-  if (!store_ok) return 2;
-  std::vector<core::TraceCapture> traces;
-  const bool tracing = flags.count("trace-dir") > 0;
-  core::ImprovementRow row;
-  int rc = 0;
-  if (faulted) {
-    const core::ResilientSweep rs = core::improvements_for_resilient(
-        *w, *machine, opt, par, fopt, tracing ? &traces : nullptr);
-    row = rs.rows.front();
-    print_sweep_row(row, machine->name, *scheme);
-    // Flush ordering is deterministic: traces first, then the failure
-    // ledger — a ledger row must never exist without the trace data it
-    // points at. Both are attempted even if the first fails; the first
-    // error wins.
-    if (tracing) rc = write_trace_dir(traces, flags.at("trace-dir"));
-    const int frc = emit_failure_report(rs.report, flags);
-    if (rc == 0) rc = frc;
-  } else {
-    row = core::improvements_for(*w, *machine, opt, par,
-                                 tracing ? &traces : nullptr);
-    print_sweep_row(row, machine->name, *scheme);
-    if (tracing) rc = write_trace_dir(traces, flags.at("trace-dir"));
-  }
-  finish_store(rstore.get(), opt);
-  const int erc = emit_figure_files(
-      {row}, flags.count("csv-out") ? flags.at("csv-out") : "",
-      flags.count("jsonl-out") ? flags.at("jsonl-out") : "");
-  return rc != 0 ? rc : erc;
+  core::ExecPolicy policy;
+  if (!parse_sweep_flags(flags, &opt, &policy)) return 2;
+  return run_sweep(core::plan_workload(*w, *machine), opt, policy, flags);
 }
 
 /// Run every requested (workload, version) product through the optimizer
@@ -1127,10 +1113,8 @@ int cmd_suite(const std::map<std::string, std::string>& flags) {
   if (!machine || !scheme) return usage();
   core::RunOptions opt;
   opt.scheme = *scheme;
-  opt.reuse_tape = flags.count("reuse-tape") > 0;
-  core::ParallelSweepOptions par;
-  if (!parse_threads_flag(flags, &par)) return 2;
-  if (!parse_epoch_flag(flags, &opt.trace_epoch)) return 2;
+  core::ExecPolicy policy;
+  if (!parse_sweep_flags(flags, &opt, &policy)) return 2;
   if (flags.count("verify-pipeline")) {
     std::vector<const workloads::WorkloadInfo*> ws;
     for (const auto& w : workloads::all_workloads()) ws.push_back(&w);
@@ -1147,43 +1131,7 @@ int cmd_suite(const std::map<std::string, std::string>& flags) {
   }
   if (flags.count("run-dir"))
     return cmd_checkpointed("suite", nullptr, *machine, *scheme, flags);
-  core::FaultSweepOptions fopt;
-  bool faulted = false;
-  if (!parse_sweep_fault_flags(flags, &fopt, &faulted)) return 2;
-  bool store_ok = true;
-  const auto rstore = open_store_flags(flags, &opt, &store_ok);
-  if (!store_ok) return 2;
-  std::vector<core::TraceCapture> traces;
-  const bool tracing = flags.count("trace-dir") > 0;
-  std::vector<core::ImprovementRow> rows;
-  int rc = 0;
-  if (faulted) {
-    core::ResilientSweep rs = core::sweep_suite_resilient(
-        *machine, opt, par, fopt, tracing ? &traces : nullptr);
-    rows = std::move(rs.rows);
-    std::printf("%s", core::format_figure(
-                          machine->name + " (" + hw::to_string(*scheme) + ")",
-                          rows)
-                          .c_str());
-    // Same deterministic flush ordering as cmd_sweep: trace data lands
-    // before the failure ledger that references it, and both writes are
-    // attempted even when the first fails.
-    if (tracing) rc = write_trace_dir(traces, flags.at("trace-dir"));
-    const int frc = emit_failure_report(rs.report, flags);
-    if (rc == 0) rc = frc;
-  } else {
-    rows = core::sweep_suite(*machine, opt, par, tracing ? &traces : nullptr);
-    std::printf("%s", core::format_figure(
-                          machine->name + " (" + hw::to_string(*scheme) + ")",
-                          rows)
-                          .c_str());
-    if (tracing) rc = write_trace_dir(traces, flags.at("trace-dir"));
-  }
-  finish_store(rstore.get(), opt);
-  const int erc = emit_figure_files(
-      rows, flags.count("csv-out") ? flags.at("csv-out") : "",
-      flags.count("jsonl-out") ? flags.at("jsonl-out") : "");
-  return rc != 0 ? rc : erc;
+  return run_sweep(core::plan_suite(*machine), opt, policy, flags);
 }
 
 int cmd_show(const std::map<std::string, std::string>& flags) {
