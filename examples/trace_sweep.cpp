@@ -1,12 +1,10 @@
-// Record a workload's instruction/memory trace once, then replay it across
-// every machine configuration — the cheap way to sweep hardware parameters
-// when the code product is fixed.
+// Record a workload's trace tape once, then replay it across every machine
+// configuration — the cheap way to sweep hardware parameters when the code
+// product is fixed.
 //
 //   $ ./build/examples/trace_sweep
 #include <cstdio>
 
-#include "codegen/trace_engine.h"
-#include "codegen/trace_io.h"
 #include "core/runner.h"
 #include "support/table.h"
 
@@ -15,37 +13,20 @@ using namespace selcache;
 int main() {
   // Record TPC-C's selective product on the base machine.
   const auto& w = workloads::workload("TPC-C");
-  const core::MachineConfig base = core::base_machine();
-  ir::Program product = core::prepare_program(
-      w.build(), core::Version::Selective, transform::OptimizeOptions{});
-
-  codegen::Trace trace;
-  {
-    memsys::Hierarchy h(base.hierarchy);
-    auto scheme = core::make_scheme(hw::SchemeKind::Bypass, base);
-    h.attach_hw(scheme.get());
-    hw::Controller ctl(scheme.get());
-    cpu::TimingModel cpu(base.cpu, h, ctl);
-    cpu.set_trace_sink(&trace);
-    codegen::DataEnv env(product);
-    codegen::TraceEngine eng(product, env, cpu);
-    eng.run();
-  }
-  std::printf("recorded %zu events from %s (Selective product)\n\n",
-              trace.size(), w.name.c_str());
+  const core::Version v = core::Version::Selective;
+  const tape::Tape tape = core::record_tape(w, core::base_machine(), v);
+  std::printf("recorded %llu ops (%llu bytes) from %s (Selective product)\n\n",
+              static_cast<unsigned long long>(tape.stats.ops()),
+              static_cast<unsigned long long>(tape.size_bytes()),
+              w.name.c_str());
 
   // Replay everywhere.
   TextTable t({"Machine", "Cycles", "L1 miss [%]", "L2 miss [%]"});
   for (const auto& m : core::all_machines()) {
-    memsys::Hierarchy h(m.hierarchy);
-    auto scheme = core::make_scheme(hw::SchemeKind::Bypass, m);
-    h.attach_hw(scheme.get());
-    hw::Controller ctl(scheme.get());
-    cpu::TimingModel cpu(m.cpu, h, ctl);
-    codegen::replay_trace(trace, cpu);
-    t.add_row({m.name, TextTable::count(cpu.cycles()),
-               TextTable::num(100.0 * h.l1_miss_rate()),
-               TextTable::num(100.0 * h.l2_miss_rate())});
+    const core::RunResult r = core::replay_tape(tape, m, v);
+    t.add_row({m.name, TextTable::count(r.cycles),
+               TextTable::num(100.0 * r.l1_miss_rate),
+               TextTable::num(100.0 * r.l2_miss_rate)});
   }
   std::printf("%s", t.str().c_str());
   return 0;

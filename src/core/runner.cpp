@@ -70,60 +70,57 @@ memsys::HierarchyConfig hierarchy_config(const MachineConfig& m,
 
 /// All mutable machine state one simulation owns: hierarchy + scheme +
 /// controller + timing model, with the optional fault injector and phase
-/// recorder attached. Shared by the interpret, record, and replay paths so
-/// a replayed run reconstructs *exactly* the machine an interpreted run
-/// would see (attachment and source-registration order are part of the
-/// bit-identical contract — the recorder is attached BEFORE the initial
-/// force() so the timeline starts with the synthetic Toggle event, and the
+/// recorder built first and attached through one Instrumentation. Shared by
+/// the interpret, record, and replay paths so a replayed run reconstructs
+/// *exactly* the machine an interpreted run would see (attachment and
+/// source-registration order are part of the bit-identical contract — the
+/// controller reports to the recorder from construction, so the timeline
+/// starts with the synthetic Toggle event of the initial force(), and the
 /// stat sources register in hierarchy, cpu, controller, injector order).
 struct Simulation {
-  memsys::Hierarchy hierarchy;
-  std::unique_ptr<memsys::HwScheme> scheme;
-  hw::Controller controller;
+  // Optional fault campaign and phase tracing: they live on this task's
+  // stack, so a parallel sweep never shares fault or trace state between
+  // tasks. Without them every hook stays nullptr and this simulation runs
+  // the uninstrumented machine.
   std::optional<fault::Injector> injector;
   std::optional<trace::MemorySink> sink;
   std::optional<trace::Recorder> rec;
+  // The hooks above, plus the optional run supervision (stop token /
+  // wall-clock deadline), which exports no stats and changes no results —
+  // it only adds exit paths — so it is invisible to the tape and store
+  // eligibility rules.
+  memsys::Instrumentation inst;
+  memsys::Hierarchy hierarchy;
+  std::unique_ptr<memsys::HwScheme> scheme;
+  hw::Controller controller;
   cpu::TimingModel cpu;
 
   Simulation(const MachineConfig& m, Version v, const RunOptions& opt,
              trace::Recording* trace_out)
-      : hierarchy(hierarchy_config(m, opt)),
+      : injector(opt.fault.enabled() || opt.watchdog_accesses > 0
+                     ? std::make_optional<fault::Injector>(
+                           opt.fault, opt.watchdog_accesses)
+                     : std::nullopt),
+        sink(trace_out != nullptr
+                 ? std::make_optional<trace::MemorySink>(*trace_out)
+                 : std::nullopt),
+        rec(sink ? std::make_optional<trace::Recorder>(*sink, opt.trace_epoch)
+                 : std::nullopt),
+        inst{.trace = rec ? &*rec : nullptr,
+             .fault = injector ? &*injector : nullptr,
+             .guard = opt.run_guard},
+        hierarchy(hierarchy_config(m, opt), inst),
         scheme(v == Version::Base || v == Version::PureSoftware
                    ? nullptr
-                   : make_scheme(opt.scheme, m)),
-        controller(scheme.get()),
+                   : make_scheme(opt.scheme, m, inst)),
+        controller(scheme.get(), inst),
         cpu(m.cpu, hierarchy, controller) {
     hierarchy.attach_hw(scheme.get());
-    // Optional run supervision (stop token / wall-clock deadline): exports
-    // no stats and changes no results — only adds exit paths — so it is
-    // invisible to the tape and store eligibility rules.
-    if (opt.run_guard != nullptr) hierarchy.set_run_guard(opt.run_guard);
-
-    // Optional fault campaign: the injector lives on this task's stack like
-    // the trace recorder, and attaching it is the only thing that makes any
-    // fault hook non-null. Without it this simulation compiles down to the
-    // pre-fault-layer machine.
-    if (opt.fault.enabled() || opt.watchdog_accesses > 0) {
-      injector.emplace(opt.fault, opt.watchdog_accesses);
-      hierarchy.set_fault(&*injector);
-      if (scheme != nullptr) scheme->set_fault(&*injector);
-      controller.set_fault(&*injector);
-    }
     if (opt.degrade.armed()) controller.set_degrade_policy(opt.degrade);
-
-    // Optional phase tracing. The recorder and its sink live on this task's
-    // stack: a parallel sweep never shares trace state between tasks.
-    if (trace_out != nullptr) {
-      sink.emplace(*trace_out);
-      rec.emplace(*sink, opt.trace_epoch);
-      rec->register_source(
-          [this](StatSet& s) { hierarchy.export_stats(s); });
-      hierarchy.set_trace(&*rec);
-      if (scheme != nullptr) scheme->set_trace(&*rec);
-      controller.set_trace(&*rec);
-    }
     controller.force(hw_always_on(v));  // Selective starts OFF; toggles drive
     if (rec) {
+      rec->register_source(
+          [this](StatSet& s) { hierarchy.export_stats(s); });
       rec->register_source([this](StatSet& s) { cpu.export_stats(s); });
       rec->register_source(
           [this](StatSet& s) { controller.export_stats(s); });

@@ -34,7 +34,8 @@ ir::Program prepare_program(const ir::Program& base_program, Version v,
 }
 
 std::unique_ptr<memsys::HwScheme> make_scheme(hw::SchemeKind kind,
-                                              const MachineConfig& m) {
+                                              const MachineConfig& m,
+                                              memsys::Instrumentation inst) {
   switch (kind) {
     case hw::SchemeKind::None:
       return nullptr;
@@ -43,13 +44,13 @@ std::unique_ptr<memsys::HwScheme> make_scheme(hw::SchemeKind kind,
       cfg.sldt.block_size = m.hierarchy.l1d.block_size;
       cfg.buffer_block_size = m.hierarchy.l1d.block_size;
       cfg.buffer_entries = std::max(1u, 512u / m.hierarchy.l1d.block_size);
-      return std::make_unique<hw::BypassScheme>(cfg);
+      return std::make_unique<hw::BypassScheme>(cfg, inst);
     }
     case hw::SchemeKind::Victim: {
       hw::VictimSchemeConfig cfg;
       cfg.l1_block_size = m.hierarchy.l1d.block_size;
       cfg.l2_block_size = m.hierarchy.l2.block_size;
-      return std::make_unique<hw::VictimScheme>(cfg);
+      return std::make_unique<hw::VictimScheme>(cfg, inst);
     }
     case hw::SchemeKind::Prefetch: {
       hw::StridePrefetcherConfig cfg;
@@ -64,7 +65,7 @@ std::unique_ptr<memsys::HwScheme> make_scheme(hw::SchemeKind kind,
           std::max(1u, 512u / m.hierarchy.l1d.block_size);
       cfg.victim.l1_block_size = m.hierarchy.l1d.block_size;
       cfg.victim.l2_block_size = m.hierarchy.l2.block_size;
-      return std::make_unique<hw::CompositeScheme>(cfg);
+      return std::make_unique<hw::CompositeScheme>(cfg, inst);
     }
   }
   return nullptr;

@@ -53,8 +53,10 @@ inline bool hw_always_on(Version v) {
   return v == Version::PureHardware || v == Version::Combined;
 }
 
-/// Build the hardware scheme for a machine (geometry-matched buffers).
-std::unique_ptr<memsys::HwScheme> make_scheme(hw::SchemeKind kind,
-                                              const MachineConfig& m);
+/// Build the hardware scheme for a machine (geometry-matched buffers),
+/// reporting to `inst` (see memsys::Instrumentation).
+std::unique_ptr<memsys::HwScheme> make_scheme(
+    hw::SchemeKind kind, const MachineConfig& m,
+    memsys::Instrumentation inst = {});
 
 }  // namespace selcache::core

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <algorithm>
-#include <vector>
 
 #include "cpu/branch_predictor.h"
 #include "hw/controller.h"
@@ -29,26 +28,6 @@
 #include "support/bitutil.h"
 
 namespace selcache::cpu {
-
-/// One recorded event of the instruction/memory stream (see
-/// codegen/trace_io.h for capture/replay helpers).
-struct TraceEvent {
-  enum class Kind : std::uint8_t {
-    Compute,  ///< value = instruction count
-    Load,     ///< addr; flags bit0 = dependent
-    Store,    ///< addr
-    Branch,   ///< addr = pc; flags bit0 = taken
-    Toggle,   ///< flags bit0 = on; value = static region id + 1 (0 = none)
-    Ifetch    ///< addr = pc; value = instruction count
-  };
-  Kind kind = Kind::Compute;
-  std::uint8_t flags = 0;
-  std::uint32_t value = 0;
-  Addr addr = 0;
-
-  bool operator==(const TraceEvent&) const = default;
-};
-using Trace = std::vector<TraceEvent>;
 
 struct CpuConfig {
   std::uint32_t issue_width = 4;
@@ -78,19 +57,12 @@ class TimingModel {
 
   /// `n` plain ALU instructions.
   void compute(std::uint64_t n) {
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Compute, 0,
-                         static_cast<std::uint32_t>(n), 0});
     retire_slots(n);
   }
 
   /// One load instruction. `dependent` marks address-dependent loads
   /// (pointer chasing) that cannot overlap with outstanding misses.
   void load(Addr addr, bool dependent = false) {
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Load,
-                         static_cast<std::uint8_t>(dependent ? 1 : 0), 0,
-                         addr});
     retire_slots(1);
     controller_.tick();
     const Cycle lat = hierarchy_.access(addr, memsys::AccessKind::Load);
@@ -99,8 +71,6 @@ class TimingModel {
 
   /// One store instruction (write-allocate; retires through the LSQ).
   void store(Addr addr) {
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Store, 0, 0, addr});
     retire_slots(1);
     controller_.tick();
     const Cycle lat = hierarchy_.access(addr, memsys::AccessKind::Store);
@@ -113,9 +83,6 @@ class TimingModel {
 
   /// One conditional branch at `pc` with actual outcome `taken`.
   void branch(Addr pc, bool taken) {
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Branch,
-                         static_cast<std::uint8_t>(taken ? 1 : 0), 0, pc});
     retire_slots(1);
     if (!bpred_.predict_and_train(pc, taken))
       branch_stall_ += cfg_.mispredict_penalty;
@@ -126,12 +93,6 @@ class TimingModel {
   /// instructions have also been taken into account"). `region` is the
   /// static source-region id the marker belongs to (-1 = unattributed).
   void toggle(bool on, std::int32_t region = -1) {
-    // The captured trace stores region + 1 in `value` so a region-less
-    // toggle (region -1) round-trips through the unsigned field as 0.
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Toggle,
-                         static_cast<std::uint8_t>(on ? 1 : 0),
-                         static_cast<std::uint32_t>(region + 1), 0});
     retire_slots(1);
     toggle_stall_ += cfg_.toggle_latency;
     controller_.toggle(on, region);
@@ -139,8 +100,6 @@ class TimingModel {
 
   /// Fetch the code block(s) for `n_instr` instructions located at `pc`.
   void touch_code(Addr pc, std::uint32_t n_instr) {
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Ifetch, 0, n_instr, pc});
     if (!cfg_.model_ifetch) return;
     // 4 bytes per instruction; touch each I-cache block the group spans.
     // Block size is validated power-of-two, so the span bounds are shifts.
@@ -156,9 +115,6 @@ class TimingModel {
       if (lat > l1) mem_stall_ += (lat - l1) / 2;
     }
   }
-
-  /// Tee every subsequent event into `sink` (nullptr stops recording).
-  void set_trace_sink(Trace* sink) { trace_ = sink; }
 
   Cycle cycles() const {
     const Cycle issue = (slots_ + cfg_.issue_width - 1) / cfg_.issue_width;
@@ -200,7 +156,6 @@ class TimingModel {
   memsys::Hierarchy& hierarchy_;
   hw::Controller& controller_;
   BimodalPredictor bpred_;
-  Trace* trace_ = nullptr;
 
   std::uint64_t slots_ = 0;        ///< issued instruction slots
   Cycle mem_stall_ = 0;

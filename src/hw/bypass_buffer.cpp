@@ -5,8 +5,9 @@
 
 namespace selcache::hw {
 
-BypassBuffer::BypassBuffer(std::uint32_t entries, std::uint32_t word_size)
-    : entries_(entries), word_size_(word_size) {
+BypassBuffer::BypassBuffer(std::uint32_t entries, std::uint32_t word_size,
+                           memsys::Instrumentation inst)
+    : entries_(entries), word_size_(word_size), fault_(inst.fault) {
   SELCACHE_CHECK(entries_ > 0);
   SELCACHE_CHECK(word_size_ > 0);
   word_pow2_ = is_pow2(word_size_);

@@ -12,20 +12,20 @@
 
 #include <vector>
 
+#include "memsys/instrumentation.h"
 #include "support/bitutil.h"
 #include "support/stats.h"
 #include "support/types.h"
-
-namespace selcache::fault {
-class Injector;
-}
 
 namespace selcache::hw {
 
 class BypassBuffer {
  public:
+  /// With `inst.fault`, each insert becomes an opportunity to silently
+  /// lose the LRU entry (dirty data and all — that is the fault).
   explicit BypassBuffer(std::uint32_t entries = 64,
-                        std::uint32_t word_size = 8);
+                        std::uint32_t word_size = 8,
+                        memsys::Instrumentation inst = {});
 
   /// Look up the double word containing `addr`; refreshes LRU on hit and
   /// merges dirtiness on a write hit.
@@ -61,11 +61,6 @@ class BypassBuffer {
   std::uint64_t writebacks() const { return writebacks_; }
   std::uint64_t invalidated() const { return invalidated_; }
   void export_stats(StatSet& out) const;
-
-  /// Attach (non-owning) a fault injector; each insert becomes an
-  /// opportunity to silently lose the LRU entry (dirty data and all —
-  /// that is the fault). nullptr detaches.
-  void set_fault(fault::Injector* inj) { fault_ = inj; }
 
  private:
   struct Entry {

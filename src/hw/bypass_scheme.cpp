@@ -8,16 +8,13 @@ namespace selcache::hw {
 using memsys::FillDecision;
 using memsys::Level;
 
-BypassScheme::BypassScheme(BypassSchemeConfig cfg)
+BypassScheme::BypassScheme(BypassSchemeConfig cfg,
+                           memsys::Instrumentation inst)
     : cfg_(cfg),
-      mat_(cfg.mat),
-      sldt_(cfg.sldt),
-      buffer_(cfg.buffer_entries, cfg.buffer_block_size) {}
-
-void BypassScheme::set_trace(trace::Recorder* rec) {
-  trace_ = rec;
-  mat_.set_trace(rec);
-}
+      mat_(cfg.mat, inst),
+      sldt_(cfg.sldt, inst),
+      buffer_(cfg.buffer_entries, cfg.buffer_block_size, inst),
+      trace_(inst.trace) {}
 
 void BypassScheme::on_access(Level level, Addr addr, bool /*is_write*/,
                              bool /*hit*/) {

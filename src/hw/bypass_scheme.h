@@ -32,16 +32,13 @@ struct BypassSchemeConfig {
 
 class BypassScheme final : public memsys::HwScheme {
  public:
-  explicit BypassScheme(BypassSchemeConfig cfg);
+  /// `inst` reaches the MAT, SLDT and bypass buffer; bypass decisions are
+  /// reported to `inst.trace`.
+  explicit BypassScheme(BypassSchemeConfig cfg,
+                        memsys::Instrumentation inst = {});
 
   std::string_view name() const override { return "bypass"; }
 
-  void set_trace(trace::Recorder* rec) override;
-  void set_fault(fault::Injector* inj) override {
-    mat_.set_fault(inj);
-    sldt_.set_fault(inj);
-    buffer_.set_fault(inj);
-  }
   bool check_integrity() const override {
     return mat_.check_integrity() && sldt_.check_integrity();
   }
@@ -67,7 +64,7 @@ class BypassScheme final : public memsys::HwScheme {
   Mat mat_;
   Sldt sldt_;
   BypassBuffer buffer_;
-  trace::Recorder* trace_ = nullptr;
+  trace::Recorder* trace_;
   std::uint64_t bypasses_ = 0;
   std::uint64_t widened_ = 0;
 };

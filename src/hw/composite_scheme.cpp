@@ -5,8 +5,9 @@ namespace selcache::hw {
 using memsys::FillDecision;
 using memsys::Level;
 
-CompositeScheme::CompositeScheme(CompositeSchemeConfig cfg)
-    : bypass_(cfg.bypass), victim_(cfg.victim) {
+CompositeScheme::CompositeScheme(CompositeSchemeConfig cfg,
+                                 memsys::Instrumentation inst)
+    : bypass_(cfg.bypass, inst), victim_(cfg.victim, inst) {
   // The sub-schemes are always consulted through the composite, which is
   // gated by the controller; keep them permanently active internally.
   bypass_.set_active(true);

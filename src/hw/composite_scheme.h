@@ -19,18 +19,12 @@ struct CompositeSchemeConfig {
 
 class CompositeScheme final : public memsys::HwScheme {
  public:
-  explicit CompositeScheme(CompositeSchemeConfig cfg);
+  /// `inst` reaches both sub-schemes.
+  explicit CompositeScheme(CompositeSchemeConfig cfg,
+                           memsys::Instrumentation inst = {});
 
   std::string_view name() const override { return "bypass+victim"; }
 
-  void set_trace(trace::Recorder* rec) override {
-    bypass_.set_trace(rec);
-    victim_.set_trace(rec);
-  }
-  void set_fault(fault::Injector* inj) override {
-    bypass_.set_fault(inj);
-    victim_.set_fault(inj);
-  }
   bool check_integrity() const override {
     return bypass_.check_integrity() && victim_.check_integrity();
   }

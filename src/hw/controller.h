@@ -19,11 +19,8 @@
 #include <cstdint>
 
 #include "memsys/hw_hooks.h"
+#include "memsys/instrumentation.h"
 #include "trace/recorder.h"
-
-namespace selcache::fault {
-class Injector;
-}
 
 namespace selcache::hw {
 
@@ -69,8 +66,12 @@ struct DegradePolicy {
 
 class Controller {
  public:
-  /// `scheme` may be null (machine without the hardware mechanism).
-  explicit Controller(memsys::HwScheme* scheme) : scheme_(scheme) {}
+  /// `scheme` may be null (machine without the hardware mechanism). Toggles
+  /// and demotions are reported to `inst.trace`; markers are delivered
+  /// through `inst.fault`, which is also what the fault budget counts.
+  explicit Controller(memsys::HwScheme* scheme,
+                      memsys::Instrumentation inst = {})
+      : scheme_(scheme), trace_(inst.trace), fault_(inst.fault) {}
 
   /// Execute an activate (ON) or deactivate (OFF) instruction. `region` is
   /// the static source-region id the marker belongs to (-1 when unknown,
@@ -106,13 +107,6 @@ class Controller {
     accesses_since_check_ = 0;
     run_checks();
   }
-
-  /// Attach (non-owning) a phase-trace recorder; nullptr detaches.
-  void set_trace(trace::Recorder* rec) { trace_ = rec; }
-
-  /// Attach (non-owning) a fault injector at the marker-delivery boundary;
-  /// nullptr detaches. The injector is also what the fault budget counts.
-  void set_fault(fault::Injector* inj) { fault_ = inj; }
 
   /// Arm (or disarm, with a default-constructed policy) degradation.
   void set_degrade_policy(const DegradePolicy& policy) {
@@ -159,8 +153,8 @@ class Controller {
   void demote(DegradeReason reason);
 
   memsys::HwScheme* scheme_;
-  trace::Recorder* trace_ = nullptr;
-  fault::Injector* fault_ = nullptr;
+  trace::Recorder* trace_;
+  fault::Injector* fault_;
   DegradePolicy policy_{};
   bool armed_ = false;
   bool degraded_ = false;

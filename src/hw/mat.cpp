@@ -6,7 +6,8 @@
 
 namespace selcache::hw {
 
-Mat::Mat(MatConfig cfg) : cfg_(cfg) {
+Mat::Mat(MatConfig cfg, memsys::Instrumentation inst)
+    : cfg_(cfg), trace_(inst.trace), fault_(inst.fault) {
   SELCACHE_CHECK(cfg_.entries > 0);
   SELCACHE_CHECK(cfg_.macro_block_size > 0);
   mb_pow2_ = is_pow2(cfg_.macro_block_size);

@@ -16,18 +16,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "memsys/instrumentation.h"
 #include "support/bitutil.h"
 #include "support/saturating.h"
 #include "support/stats.h"
 #include "support/types.h"
-
-namespace selcache::trace {
-class Recorder;
-}
-
-namespace selcache::fault {
-class Injector;
-}
 
 namespace selcache::hw {
 
@@ -40,7 +33,9 @@ struct MatConfig {
 
 class Mat {
  public:
-  explicit Mat(MatConfig cfg);
+  /// With `inst.trace`, decay sweeps become discrete events; with
+  /// `inst.fault`, counter updates become corruption opportunities.
+  explicit Mat(MatConfig cfg, memsys::Instrumentation inst = {});
 
   /// Record one access to the macro-block containing `addr`. Inline: runs
   /// once per data access while the scheme is on; the decay check is a mask
@@ -90,14 +85,6 @@ class Mat {
   std::uint64_t replacements() const { return replacements_; }
   std::uint64_t decays() const { return decays_; }
   void export_stats(StatSet& out) const;
-
-  /// Attach (non-owning) a phase-trace recorder; decay sweeps become
-  /// discrete events. nullptr detaches.
-  void set_trace(trace::Recorder* rec) { trace_ = rec; }
-
-  /// Attach (non-owning) a fault injector; counter updates become
-  /// corruption opportunities. nullptr detaches.
-  void set_fault(fault::Injector* inj) { fault_ = inj; }
 
   /// Cheap invariant sweep used by the controller's integrity checks: every
   /// valid entry's counter is within its ceiling and the entry is stored in

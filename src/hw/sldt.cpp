@@ -5,7 +5,8 @@
 
 namespace selcache::hw {
 
-Sldt::Sldt(SldtConfig cfg) : cfg_(cfg) {
+Sldt::Sldt(SldtConfig cfg, memsys::Instrumentation inst)
+    : cfg_(cfg), fault_(inst.fault) {
   SELCACHE_CHECK(cfg_.entries > 0);
   SELCACHE_CHECK(cfg_.block_size > 0);
   SELCACHE_CHECK(cfg_.counter_entries > 0);

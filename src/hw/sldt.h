@@ -10,14 +10,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "memsys/instrumentation.h"
 #include "support/bitutil.h"
 #include "support/saturating.h"
 #include "support/stats.h"
 #include "support/types.h"
-
-namespace selcache::fault {
-class Injector;
-}
 
 namespace selcache::hw {
 
@@ -32,7 +29,9 @@ struct SldtConfig {
 
 class Sldt {
  public:
-  explicit Sldt(SldtConfig cfg);
+  /// With `inst.fault`, spatial-counter updates become corruption
+  /// opportunities.
+  explicit Sldt(SldtConfig cfg, memsys::Instrumentation inst = {});
 
   /// Observe an access; updates the recent-block window and the spatial
   /// counter of the enclosing macro-block. Inline: this runs once per data
@@ -64,10 +63,6 @@ class Sldt {
   std::uint64_t spatial_hits() const { return spatial_hits_; }
   std::uint64_t spatial_misses() const { return spatial_misses_; }
   void export_stats(StatSet& out) const;
-
-  /// Attach (non-owning) a fault injector; spatial-counter updates become
-  /// corruption opportunities. nullptr detaches.
-  void set_fault(fault::Injector* inj) { fault_ = inj; }
 
   /// Invariant sweep for the controller's integrity checks: every spatial
   /// counter is within its ceiling.

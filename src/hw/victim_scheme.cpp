@@ -8,10 +8,14 @@ namespace selcache::hw {
 using memsys::FillDecision;
 using memsys::Level;
 
-VictimScheme::VictimScheme(VictimSchemeConfig cfg)
+VictimScheme::VictimScheme(VictimSchemeConfig cfg,
+                           memsys::Instrumentation inst)
     : cfg_(cfg),
-      l1v_("victim_l1", cfg.l1_entries, cfg.l1_block_size),
-      l2v_("victim_l2", cfg.l2_entries, cfg.l2_block_size) {}
+      l1v_("victim_l1", cfg.l1_entries, cfg.l1_block_size,
+           fault::BufferSite::L1Victim, inst),
+      l2v_("victim_l2", cfg.l2_entries, cfg.l2_block_size,
+           fault::BufferSite::L2Victim, inst),
+      trace_(inst.trace) {}
 
 void VictimScheme::on_access(Level /*level*/, Addr /*addr*/, bool /*is_write*/,
                              bool /*hit*/) {

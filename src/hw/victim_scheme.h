@@ -21,15 +21,13 @@ struct VictimSchemeConfig {
 
 class VictimScheme final : public memsys::HwScheme {
  public:
-  explicit VictimScheme(VictimSchemeConfig cfg);
+  /// `inst` reaches both victim caches; promotions are reported to
+  /// `inst.trace`.
+  explicit VictimScheme(VictimSchemeConfig cfg,
+                        memsys::Instrumentation inst = {});
 
   std::string_view name() const override { return "victim"; }
 
-  void set_trace(trace::Recorder* rec) override { trace_ = rec; }
-  void set_fault(fault::Injector* inj) override {
-    l1v_.set_fault(inj, fault::BufferSite::L1Victim);
-    l2v_.set_fault(inj, fault::BufferSite::L2Victim);
-  }
   bool check_integrity() const override {
     return l1v_.check_integrity() && l2v_.check_integrity();
   }
@@ -51,7 +49,7 @@ class VictimScheme final : public memsys::HwScheme {
   VictimSchemeConfig cfg_;
   memsys::VictimCache l1v_;
   memsys::VictimCache l2v_;
-  trace::Recorder* trace_ = nullptr;
+  trace::Recorder* trace_;
 };
 
 }  // namespace selcache::hw

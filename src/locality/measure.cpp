@@ -69,12 +69,11 @@ class EntityProbe final : public memsys::DataAccessProbe {
 MeasuredProfile measure_program(const ir::Program& p,
                                 const MeasureOptions& opt) {
   MeasuredProfile out;
-  memsys::Hierarchy hierarchy(opt.hierarchy);
-  hw::Controller controller(nullptr);
-  cpu::TimingModel cpu(opt.cpu, hierarchy, controller);
   codegen::DataEnv env(p, {.seed = opt.data_seed});
   EntityProbe probe(p, env, out);
-  hierarchy.set_probe(&probe);
+  memsys::Hierarchy hierarchy(opt.hierarchy, {.probe = &probe});
+  hw::Controller controller(nullptr);
+  cpu::TimingModel cpu(opt.cpu, hierarchy, controller);
 
   codegen::TraceEngine engine(p, env, cpu);
   engine.run();

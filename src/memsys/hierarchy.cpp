@@ -6,17 +6,23 @@
 
 namespace selcache::memsys {
 
-Hierarchy::Hierarchy(HierarchyConfig cfg)
+Hierarchy::Hierarchy(HierarchyConfig cfg, Instrumentation inst)
     : cfg_(cfg),
       l1d_(cfg.l1d),
       l1i_(cfg.l1i),
       l2_(cfg.l2),
       dtlb_(cfg.dtlb),
       itlb_(cfg.itlb),
-      mem_(cfg.mem) {
+      mem_(cfg.mem),
+      inst_(inst),
+      observed_(inst.any()) {
   if (cfg_.classify_misses)
     classifier_ = std::make_unique<MissClassifier>(cfg_.l1d.num_blocks(),
                                                    cfg_.l1d.block_size);
+}
+
+Cycle Hierarchy::access_observed(Addr addr, AccessKind kind) {
+  return access_impl<true>(addr, kind);
 }
 
 Cycle Hierarchy::refill_l2(Addr addr, bool is_write) {

@@ -22,6 +22,7 @@
 #include "memsys/cache.h"
 #include "support/run_guard.h"
 #include "memsys/hw_hooks.h"
+#include "memsys/instrumentation.h"
 #include "memsys/main_memory.h"
 #include "memsys/miss_classifier.h"
 #include "memsys/tlb.h"
@@ -30,17 +31,6 @@
 namespace selcache::memsys {
 
 enum class AccessKind { Load, Store, IFetch };
-
-/// Per-access observer of the L1D data path (loads/stores only), invoked
-/// after the tag check with the demand address and hit/miss outcome. Used by
-/// the static-locality measurement harness to attribute misses to data
-/// entities. Attached nullptr-gated like the trace recorder and fault
-/// injector: an unprobed run executes the pre-probe code path bit-for-bit.
-class DataAccessProbe {
- public:
-  virtual ~DataAccessProbe() = default;
-  virtual void on_l1d_access(Addr addr, bool is_write, bool hit) = 0;
-};
 
 struct HierarchyConfig {
   CacheConfig l1d{.name = "l1d",
@@ -66,31 +56,16 @@ struct HierarchyConfig {
 
 class Hierarchy {
  public:
-  explicit Hierarchy(HierarchyConfig cfg);
+  /// `inst` is fixed for the hierarchy's lifetime. Its recorder gets one
+  /// epoch tick per completed demand access (data and instruction side
+  /// alike), its injector one watchdog / crash callback per demand access,
+  /// its probe every L1D tag check, and its guard one poll per demand
+  /// access.
+  explicit Hierarchy(HierarchyConfig cfg, Instrumentation inst = {});
 
   /// Attach (non-owning) a hardware scheme; pass nullptr to detach.
   void attach_hw(HwScheme* hw) { hw_ = hw; }
   HwScheme* hw() const { return hw_; }
-
-  /// Attach (non-owning) a phase-trace recorder; nullptr detaches. The
-  /// hierarchy drives the recorder's epoch clock: one tick per completed
-  /// demand access (data and instruction side alike).
-  void set_trace(trace::Recorder* rec) { trace_ = rec; }
-
-  /// Attach (non-owning) a fault injector; nullptr detaches. The hierarchy
-  /// gives it one callback per demand access — the watchdog / task-crash
-  /// clock of the fault model.
-  void set_fault(fault::Injector* inj) { fault_ = inj; }
-
-  /// Attach (non-owning) an L1D access probe; nullptr detaches.
-  void set_probe(DataAccessProbe* p) { probe_ = p; }
-
-  /// Attach (non-owning) a run-supervision guard; nullptr detaches. The
-  /// guard is polled once per demand access, before any state changes, and
-  /// may throw support::RunSuspended / support::CellDeadlineExceeded —
-  /// unlike the fault injector it exports no stats, so attaching it leaves
-  /// the simulation's results bit-identical.
-  void set_run_guard(support::RunGuard* g) { guard_ = g; }
 
   /// Perform one demand access; returns the total latency in cycles. With
   /// a fault injector attached this may throw fault::WatchdogExceeded or
@@ -98,19 +73,11 @@ class Hierarchy {
   /// exception unwinds cleanly to the resilient runner. Defined inline —
   /// together with the inline Cache/Tlb hit paths this collapses the whole
   /// hit-case access into one call frame, which is what the trace-tape
-  /// replay loop's throughput rides on.
+  /// replay loop's throughput rides on. An uninstrumented hierarchy tests
+  /// one flag here and never touches a hook.
   Cycle access(Addr addr, AccessKind kind) {
-    // Watchdog / crash clock before any state changes: a killed access
-    // never half-updates the hierarchy. Same rule for the run guard — a
-    // suspended cell leaves the hierarchy exactly as the last completed
-    // access did.
-    if (fault_ != nullptr) fault_->on_access();
-    if (guard_ != nullptr) guard_->poll();
-    const Cycle lat = access_impl(addr, kind);
-    // Epoch clock ticks after the access fully updated its counters, so an
-    // epoch boundary at access N covers exactly accesses [.., N).
-    if (trace_ != nullptr) trace_->note_access();
-    return lat;
+    if (observed_) return access_observed(addr, kind);
+    return access_impl<false>(addr, kind);
   }
 
   const Cache& l1d() const { return l1d_; }
@@ -132,11 +99,32 @@ class Hierarchy {
  private:
   bool hw_active() const { return hw_ != nullptr && hw_->active(); }
 
-  /// The access path proper; access() wraps it so the epoch tick fires
-  /// after the access's counter updates are complete (single return site).
-  /// Inline for the hit cases; misses leave through the out-of-line
-  /// refill/place helpers.
+  /// The access path proper. `Observed` compiles the hooks in: the
+  /// injector and the guard fire before any state changes (a killed or
+  /// suspended access never half-updates the hierarchy), the probe sees the
+  /// L1D tag check, and the epoch clock ticks after the access fully
+  /// updated its counters, so an epoch boundary at access N covers exactly
+  /// accesses [.., N). Inline for the hit cases; misses leave through the
+  /// out-of-line refill/place helpers.
+  template <bool Observed>
   Cycle access_impl(Addr addr, AccessKind kind) {
+    if constexpr (Observed) {
+      if (inst_.fault != nullptr) inst_.fault->on_access();
+      if (inst_.guard != nullptr) inst_.guard->poll();
+    }
+    const Cycle lat = walk<Observed>(addr, kind);
+    if constexpr (Observed) {
+      if (inst_.trace != nullptr) inst_.trace->note_access();
+    }
+    return lat;
+  }
+
+  /// access_impl<true>, out of line: instrumented runs are never the
+  /// throughput case.
+  Cycle access_observed(Addr addr, AccessKind kind);
+
+  template <bool Observed>
+  Cycle walk(Addr addr, AccessKind kind) {
     if (kind == AccessKind::IFetch) {
       Cycle lat = itlb_.access(addr);
       lat += cfg_.l1i.latency;
@@ -151,7 +139,10 @@ class Hierarchy {
     // preview feeds place_l1d(); it stays valid because the only code that
     // could touch this set before the fill (aux service) returns early.
     const Cache::LookupResult lr = l1d_.access_with_victim(addr, is_write);
-    if (probe_ != nullptr) probe_->on_l1d_access(addr, is_write, lr.hit);
+    if constexpr (Observed) {
+      if (inst_.probe != nullptr)
+        inst_.probe->on_l1d_access(addr, is_write, lr.hit);
+    }
 
     if (classifier_ != nullptr) {
       if (!lr.hit) classifier_->classify_miss(addr);
@@ -191,10 +182,8 @@ class Hierarchy {
   Tlb dtlb_, itlb_;
   MainMemory mem_;
   HwScheme* hw_ = nullptr;
-  trace::Recorder* trace_ = nullptr;
-  fault::Injector* fault_ = nullptr;
-  DataAccessProbe* probe_ = nullptr;
-  support::RunGuard* guard_ = nullptr;
+  Instrumentation inst_;
+  bool observed_ = false;  ///< inst_.any(), fixed at construction
   std::unique_ptr<MissClassifier> classifier_;
 };
 

@@ -16,14 +16,6 @@
 #include "memsys/cache_config.h"
 #include "support/stats.h"
 
-namespace selcache::trace {
-class Recorder;
-}
-
-namespace selcache::fault {
-class Injector;
-}
-
 namespace selcache::memsys {
 
 /// What to do with a block that is about to be placed in a cache.
@@ -38,18 +30,6 @@ class HwScheme {
   /// Run-time toggle driven by ON/OFF instructions.
   void set_active(bool a) { active_ = a; }
   bool active() const { return active_; }
-
-  /// Attach (non-owning) a phase-trace recorder; nullptr detaches. Schemes
-  /// with sub-components (MAT, nested schemes) propagate the pointer. The
-  /// default ignores tracing — a scheme only overrides this if it has
-  /// discrete events worth reporting.
-  virtual void set_trace(trace::Recorder* rec) { (void)rec; }
-
-  /// Attach (non-owning) a fault injector; nullptr detaches. Schemes
-  /// propagate the pointer to the state the fault model covers (MAT/SLDT
-  /// counters, bypass buffer, victim caches). The default ignores it — a
-  /// scheme with no fault-injectable state pays nothing.
-  virtual void set_fault(fault::Injector* inj) { (void)inj; }
 
   /// Verify the scheme's internal invariants (controller integrity checks;
   /// see DegradePolicy). Must be cheap relative to the check interval.

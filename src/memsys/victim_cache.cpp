@@ -5,8 +5,13 @@
 namespace selcache::memsys {
 
 VictimCache::VictimCache(std::string name, std::uint32_t entries,
-                         std::uint32_t block_size)
-    : name_(std::move(name)), entries_(entries), block_size_(block_size) {
+                         std::uint32_t block_size, fault::BufferSite site,
+                         Instrumentation inst)
+    : name_(std::move(name)),
+      entries_(entries),
+      block_size_(block_size),
+      fault_(inst.fault),
+      fault_site_(site) {
   SELCACHE_CHECK(entries_ > 0);
   SELCACHE_CHECK(block_size_ > 0);
 }

@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "fault/injector.h"
+#include "memsys/instrumentation.h"
 #include "support/stats.h"
 #include "support/types.h"
 
@@ -19,8 +20,12 @@ namespace selcache::memsys {
 
 class VictimCache {
  public:
+  /// With `inst.fault`, each insert becomes an opportunity, reported at
+  /// `site`, to silently lose the LRU victim (no writeback).
   VictimCache(std::string name, std::uint32_t entries,
-              std::uint32_t block_size);
+              std::uint32_t block_size,
+              fault::BufferSite site = fault::BufferSite::L1Victim,
+              Instrumentation inst = {});
 
   /// Insert an evicted block; LRU entry falls out if full. Returns the
   /// displaced block (address, dirty) if a dirty block was pushed out and
@@ -47,14 +52,6 @@ class VictimCache {
   std::uint64_t invalidated() const { return invalidated_; }
   void export_stats(StatSet& out) const;
 
-  /// Attach (non-owning) a fault injector firing at `site`; each insert
-  /// becomes an opportunity to silently lose the LRU victim (no writeback).
-  /// nullptr detaches.
-  void set_fault(fault::Injector* inj, fault::BufferSite site) {
-    fault_ = inj;
-    fault_site_ = site;
-  }
-
   /// Invariant sweep for the controller's integrity checks: LRU list and
   /// index agree and occupancy is within capacity.
   bool check_integrity() const {
@@ -70,8 +67,8 @@ class VictimCache {
   /// LRU order: front = most recent. Entries are block frame numbers.
   std::list<std::pair<Addr, bool>> lru_;
   std::unordered_map<Addr, std::list<std::pair<Addr, bool>>::iterator> index_;
-  fault::Injector* fault_ = nullptr;
-  fault::BufferSite fault_site_ = fault::BufferSite::L1Victim;
+  fault::Injector* fault_;
+  fault::BufferSite fault_site_;
   HitMiss probes_;
   std::uint64_t invalidated_ = 0;
 };

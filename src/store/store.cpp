@@ -311,16 +311,13 @@ std::size_t ResultStore::persist_tapes(const tape::TapeCache& cache) {
     // pair; a crash between the two leaves an orphan .tape that is simply
     // rewritten next time.
     if (fs::exists(stem + ".key", ec)) continue;
-    const support::WriteStatus tape_st =
-        tape::save_tape_status(*tp, stem + ".tape");
-    if (!tape_st.ok()) {
-      note_write(tape_st);
-      continue;
-    }
-    const support::WriteStatus key_st =
-        support::write_file_atomic(stem + ".key", key + "\n");
-    note_write(key_st);
-    if (key_st.ok()) ++written;
+    // Tapes are not cells: only a failed write reaches the counters.
+    support::WriteStatus st = tape::save_tape_status(*tp, stem + ".tape");
+    if (st.ok()) st = support::write_file_atomic(stem + ".key", key + "\n");
+    if (st.ok())
+      ++written;
+    else
+      note_write(st);
   }
   return written;
 }

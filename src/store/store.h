@@ -71,7 +71,7 @@ struct StoredResult {
 struct StoreCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t writes = 0;
+  std::uint64_t writes = 0;  ///< cells saved (persisted tapes not counted)
   std::uint64_t corrupt = 0;
   std::uint64_t write_errors = 0;
 };

@@ -1,8 +1,8 @@
 // Cooperative run supervision at simulation-access granularity.
 //
-// A RunGuard is attached (non-owning, nullptr-gated — the same pattern as
-// the trace recorder and fault injector) to memsys::Hierarchy and polled
-// once per demand access. It watches two things the fault layer's
+// A RunGuard is attached to memsys::Hierarchy (non-owning, through the same
+// memsys::Instrumentation bundle as the trace recorder and fault injector)
+// and polled once per demand access. It watches two things the fault layer's
 // access-count watchdog cannot:
 //
 //   * a run-wide stop token (the SignalGuard's atomic, or a whole-run

@@ -136,11 +136,11 @@ TEST(Injector, ExportStatsCarriesFaultCounters) {
 // --- corrupted state must be observable through integrity checks ---------
 
 TEST(Integrity, MatDetectsInjectedCounterCorruption) {
-  hw::Mat mat(hw::MatConfig{.entries = 16, .macro_block_size = 1024,
-                            .counter_max = 255, .decay_interval = 0});
-  EXPECT_TRUE(mat.check_integrity());
   Injector inj(cfg(FaultKind::CounterFlip, 1.0));
-  mat.set_fault(&inj);
+  hw::Mat mat(hw::MatConfig{.entries = 16, .macro_block_size = 1024,
+                            .counter_max = 255, .decay_interval = 0},
+              {.fault = &inj});
+  EXPECT_TRUE(mat.check_integrity());
   // Rate-1 flips with a guard bit: within a few dozen touches one lands
   // above counter_max (deterministic for this seed).
   for (int i = 0; i < 64 && mat.check_integrity(); ++i) mat.touch(0x1000);
@@ -148,10 +148,9 @@ TEST(Integrity, MatDetectsInjectedCounterCorruption) {
 }
 
 TEST(Integrity, SldtDetectsInjectedCounterCorruption) {
-  hw::Sldt sldt(hw::SldtConfig{});
-  EXPECT_TRUE(sldt.check_integrity());
   Injector inj(cfg(FaultKind::CounterFlip, 1.0));
-  sldt.set_fault(&inj);
+  hw::Sldt sldt(hw::SldtConfig{}, {.fault = &inj});
+  EXPECT_TRUE(sldt.check_integrity());
   for (int i = 0; i < 256 && sldt.check_integrity(); ++i)
     sldt.note(static_cast<Addr>(i) * 32);
   EXPECT_FALSE(sldt.check_integrity());
@@ -167,9 +166,8 @@ hw::BypassSchemeConfig test_bypass_config() {
 
 TEST(Degradation, FaultBudgetDemotesToSafeMode) {
   hw::BypassScheme scheme(test_bypass_config());
-  hw::Controller ctl(&scheme);
   Injector inj(cfg(FaultKind::ToggleDrop, 1.0));
-  ctl.set_fault(&inj);
+  hw::Controller ctl(&scheme, {.fault = &inj});
   ctl.set_degrade_policy(hw::DegradePolicy{.fault_budget = 2});
   ctl.force(true);
 
@@ -223,11 +221,10 @@ TEST(Degradation, PeriodicIntegrityCheckDemotes) {
 
 TEST(Degradation, EmitsStructuredTraceEvent) {
   BrokenScheme scheme;
-  hw::Controller ctl(&scheme);
   trace::Recording rec;
   trace::MemorySink sink(rec);
   trace::Recorder recorder(sink, 1000);
-  ctl.set_trace(&recorder);
+  hw::Controller ctl(&scheme, {.trace = &recorder});
   ctl.set_degrade_policy(
       hw::DegradePolicy{.integrity_checks = true, .check_interval = 1});
   ctl.tick();

@@ -290,8 +290,8 @@ TEST(Mat, DecayEmitsTraceEvent) {
   trace::MemorySink sink(out);
   trace::Recorder rec(sink, 1000);
   Mat m(MatConfig{.entries = 16, .macro_block_size = 1024, .counter_max = 255,
-                  .decay_interval = 4});
-  m.set_trace(&rec);
+                  .decay_interval = 4},
+        {.trace = &rec});
   for (int i = 0; i < 8; ++i) m.touch(0);
   ASSERT_EQ(out.events.size(), 2u);
   EXPECT_EQ(out.events[0].kind, trace::EventKind::MatDecay);
@@ -303,8 +303,7 @@ TEST(Controller, EmitsToggleEventsWithRegionProvenance) {
   trace::MemorySink sink(out);
   trace::Recorder rec(sink, 1000);
   VictimScheme s(VictimSchemeConfig{});
-  Controller c(&s);
-  c.set_trace(&rec);
+  Controller c(&s, {.trace = &rec});
   c.force(true);      // synthetic event so the timeline knows initial state
   c.toggle(false, 7);  // instruction toggle carries its source region
   ASSERT_EQ(out.events.size(), 2u);
@@ -320,8 +319,7 @@ TEST(BypassScheme, BypassEmitsTraceEventWithAddress) {
   trace::Recording out;
   trace::MemorySink sink(out);
   trace::Recorder rec(sink, 1000);
-  BypassScheme s(test_bypass_config());
-  s.set_trace(&rec);
+  BypassScheme s(test_bypass_config(), {.trace = &rec});
   s.set_active(true);
   const Addr hot = 0, cold = 64 * 1024;
   for (int i = 0; i < 100; ++i) s.on_access(Level::L1D, hot, false, true);
@@ -337,8 +335,7 @@ TEST(VictimScheme, PromotionEmitsTraceEvent) {
   trace::Recording out;
   trace::MemorySink sink(out);
   trace::Recorder rec(sink, 1000);
-  VictimScheme s(VictimSchemeConfig{});
-  s.set_trace(&rec);
+  VictimScheme s(VictimSchemeConfig{}, {.trace = &rec});
   s.set_active(true);
   s.on_eviction(Level::L1D, 0x400, false);
   auto aux = s.service_miss(Level::L1D, 0x400, false);

@@ -235,6 +235,22 @@ TEST_F(StoreTest, PersistsAndPreloadsTapes) {
   EXPECT_EQ(t->stats.data_accesses(), 2u);
 }
 
+TEST_F(StoreTest, PersistedTapesAreNotCountedAsCellWrites) {
+  tape::TapeCache cache;
+  for (const char* key : {"tape/a", "tape/b"})
+    cache.get_or_record(key, [] {
+      tape::TapeBuilder b;
+      b.load(0x1000, false);
+      return b.take();
+    });
+  ResultStore s(dir_);
+  s.save("cell-key", sample_result());
+  EXPECT_EQ(s.persist_tapes(cache), 2u);
+  const auto c = s.counters();
+  EXPECT_EQ(c.writes, 1u) << "only the cell is a cell write";
+  EXPECT_EQ(c.write_errors, 0u);
+}
+
 TEST_F(StoreTest, CorruptTapeIsSkippedOnPreload) {
   tape::TapeCache cache;
   cache.get_or_record("tape/x", [] {

@@ -108,6 +108,14 @@ TEST(TapeEquivalence, TapeRecordedOnBaseReplaysOnEveryOtherMachine) {
   }
   EXPECT_EQ(cache.size(), std::size(picks) * kAllVersions.size())
       << "cross-machine replays must reuse the base-machine tapes";
+
+  // A replay responds to the machine it runs on: slower memory costs
+  // cycles.
+  const RunResult slow =
+      run_version(*picks[0], higher_mem_latency(), Version::Base, taped);
+  const RunResult fast =
+      run_version(*picks[0], base_machine(), Version::Base, taped);
+  EXPECT_GT(slow.cycles, fast.cycles);
 }
 
 /// The bit-identical contract extends to the phase-trace layer: a traced

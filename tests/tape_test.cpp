@@ -308,9 +308,14 @@ TEST(TapeRoundTrip, RejectsCorruptOpcodeAndVersion) {
 
 class TapeFileTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "selcache_tape_test.tape")
-                          .string();
+  // One file per case: ctest runs the cases as parallel processes.
+  std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       ("selcache_tape_test_" +
+        std::string(
+            ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+        ".tape"))
+          .string();
   void TearDown() override {
     std::error_code ec;
     std::filesystem::remove(path_, ec);

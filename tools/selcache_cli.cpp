@@ -9,9 +9,8 @@
 //   selcache run-file PROGRAM.loop [--machine M] [--version V] [--scheme S]
 //   selcache trace WORKLOAD VERSION [--machine M] [--scheme S] [--epoch N]
 //                [--events-out FILE] [--metrics-out FILE] [--csv-out FILE]
-//   selcache trace-record --workload NAME --out FILE [--version V]
-//   selcache trace-replay FILE [--machine M] [--scheme S]
-//   selcache tape WORKLOAD VERSION [--machine M] [--scheme S] [--out FILE]
+//   selcache tape WORKLOAD VERSION [--machine M] [--scheme S]
+//                [--out FILE | --in FILE] [--stat]
 //   selcache verify [FILE.loop] [--workload NAME] [--version V] [--csv]
 //   selcache predict WORKLOAD VERSION [--machine M] [--csv] [--check]
 //                [--predict-classify] [--threshold T] [--capacity-fraction F]
@@ -60,7 +59,6 @@
 
 #include "codegen/trace_engine.h"
 #include "tape/tape.h"
-#include "codegen/trace_io.h"
 #include "core/report.h"
 #include "core/runner.h"
 #include "ir/parser.h"
@@ -117,11 +115,8 @@ int usage() {
                " [--epoch N]\n"
                "                 [--events-out F] [--metrics-out F]"
                " [--csv-out F]\n"
-               "  selcache trace-record --workload NAME --out FILE"
-               " [--version V] [--scheme S]\n"
-               "  selcache trace-replay FILE [--machine M] [--scheme S]\n"
                "  selcache tape  WORKLOAD VERSION [--machine M] [--scheme S]"
-               " [--out FILE] [--stat]\n"
+               " [--out FILE | --in FILE] [--stat]\n"
                "  selcache verify [FILE.loop] [--workload NAME] [--version V]"
                " [--csv]\n"
                "  selcache predict WORKLOAD VERSION [--machine M] [--csv]"
@@ -274,6 +269,22 @@ int cmd_list() {
   return 0;
 }
 
+/// The summary `selcache run` prints for one cell.
+void print_run(const workloads::WorkloadInfo& w, const core::MachineConfig& m,
+               core::Version v, hw::SchemeKind scheme,
+               const core::RunResult& r) {
+  std::printf("%s / %s / %s / %s\n", w.name.c_str(), m.name.c_str(),
+              to_string(v), hw::to_string(scheme));
+  std::printf("  cycles        %llu\n",
+              static_cast<unsigned long long>(r.cycles));
+  std::printf("  instructions  %llu\n",
+              static_cast<unsigned long long>(r.instructions));
+  std::printf("  L1 miss       %.2f%%\n", 100.0 * r.l1_miss_rate);
+  std::printf("  L2 miss       %.2f%%\n", 100.0 * r.l2_miss_rate);
+  std::printf("  toggles       %llu\n",
+              static_cast<unsigned long long>(r.toggles));
+}
+
 int cmd_run(const std::map<std::string, std::string>& flags) {
   const auto* w = workload_by_name(flags.count("workload")
                                        ? flags.at("workload")
@@ -297,17 +308,7 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   }
 
   const core::RunResult r = core::run_version(*w, *machine, *version, opt);
-  std::printf("%s / %s / %s / %s\n", w->name.c_str(),
-              machine->name.c_str(), to_string(*version),
-              hw::to_string(*scheme));
-  std::printf("  cycles        %llu\n",
-              static_cast<unsigned long long>(r.cycles));
-  std::printf("  instructions  %llu\n",
-              static_cast<unsigned long long>(r.instructions));
-  std::printf("  L1 miss       %.2f%%\n", 100.0 * r.l1_miss_rate);
-  std::printf("  L2 miss       %.2f%%\n", 100.0 * r.l2_miss_rate);
-  std::printf("  toggles       %llu\n",
-              static_cast<unsigned long long>(r.toggles));
+  print_run(*w, *machine, *version, *scheme, r);
   if (flags.count("stats"))
     for (const auto& [k, v] : r.stats.all())
       std::printf("  %-32s %llu\n", k.c_str(),
@@ -481,7 +482,7 @@ bool parse_fault_common(const std::map<std::string, std::string>& flags,
 
 /// Parse the sweep/suite resilience flags into `opt` and `policy`. Failure
 /// isolation (policy->retries) is on with --inject-faults, or a watchdog
-/// alone; without it the degradation flags arm nothing.
+/// alone; the degradation and retry flags need one of the two.
 bool parse_sweep_fault_flags(const std::map<std::string, std::string>& flags,
                              core::RunOptions* opt, core::ExecPolicy* policy) {
   if (!parse_fault_common(flags, &opt->fault, &opt->degrade,
@@ -495,7 +496,8 @@ bool parse_sweep_fault_flags(const std::map<std::string, std::string>& flags,
     return false;
   }
   const bool inject = flags.count("inject-faults") > 0;
-  if (!inject && opt->fault.kind != fault::FaultKind::None) {
+  if (!inject && (opt->fault.kind != fault::FaultKind::None ||
+                  flags.count("fault-rate") || flags.count("fault-seed"))) {
     std::fprintf(stderr,
                  "selcache: fault flags require '--inject-faults'\n");
     return false;
@@ -505,10 +507,18 @@ bool parse_sweep_fault_flags(const std::map<std::string, std::string>& flags,
                  "selcache: '--inject-faults' requires '--fault-kind'\n");
     return false;
   }
-  if (inject || opt->watchdog_accesses > 0)
-    policy->retries = static_cast<std::uint32_t>(retries);
-  else
-    opt->degrade = {};
+  if (!inject && opt->watchdog_accesses == 0) {
+    if (flags.count("fault-budget") || flags.count("integrity-checks") ||
+        flags.count("max-retries")) {
+      std::fprintf(stderr,
+                   "selcache: '--fault-budget', '--integrity-checks' and"
+                   " '--max-retries' require '--inject-faults' or"
+                   " '--watchdog-accesses'\n");
+      return false;
+    }
+    return true;
+  }
+  policy->retries = static_cast<std::uint32_t>(retries);
   return true;
 }
 
@@ -662,22 +672,42 @@ int cmd_tape(const std::string& wname, const std::string& vname,
   const auto scheme =
       scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
   if (!machine || !scheme) return usage();
+  if (flags.count("in") && flags.count("out")) {
+    std::fprintf(stderr,
+                 "selcache: 'tape' takes '--in' or '--out', not both\n");
+    return 2;
+  }
 
   core::RunOptions opt;
   opt.scheme = *scheme;
-  core::RunResult r;
-  const tape::Tape t = core::record_tape(*w, *machine, *version, opt, &r);
-  const double accesses = static_cast<double>(t.stats.data_accesses());
-  std::printf("%s / %s tape: %llu bytes, %llu data accesses"
-              " (%.3f bytes/access)\n",
-              w->name.c_str(), core::version_key(*version),
-              static_cast<unsigned long long>(t.bytes.size()),
-              static_cast<unsigned long long>(t.stats.data_accesses()),
-              accesses > 0 ? static_cast<double>(t.bytes.size()) / accesses
-                           : 0.0);
-  std::printf("  recording run: %llu cycles, L1 miss %.2f%%\n",
-              static_cast<unsigned long long>(r.cycles),
-              100.0 * r.l1_miss_rate);
+  tape::Tape t;
+  if (flags.count("in")) {
+    // Replay a saved tape as VERSION on the machine: the same call a
+    // figure sweep makes, so the output is that of `selcache run`.
+    try {
+      t = tape::load_tape(flags.at("in"));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "selcache: cannot load tape %s: %s\n",
+                   flags.at("in").c_str(), e.what());
+      return 2;
+    }
+    print_run(*w, *machine, *version, *scheme,
+              core::replay_tape(t, *machine, *version, opt));
+  } else {
+    core::RunResult r;
+    t = core::record_tape(*w, *machine, *version, opt, &r);
+    const double accesses = static_cast<double>(t.stats.data_accesses());
+    std::printf("%s / %s tape: %llu bytes, %llu data accesses"
+                " (%.3f bytes/access)\n",
+                w->name.c_str(), core::version_key(*version),
+                static_cast<unsigned long long>(t.bytes.size()),
+                static_cast<unsigned long long>(t.stats.data_accesses()),
+                accesses > 0 ? static_cast<double>(t.bytes.size()) / accesses
+                             : 0.0);
+    std::printf("  recording run: %llu cycles, L1 miss %.2f%%\n",
+                static_cast<unsigned long long>(r.cycles),
+                100.0 * r.l1_miss_rate);
+  }
   if (flags.count("stat")) {
     // Decoded-op histogram: the exact call stream replay feeds each
     // machine point.
@@ -1273,75 +1303,6 @@ int cmd_run_file(const std::string& path,
   return 0;
 }
 
-int cmd_trace_record(const std::map<std::string, std::string>& flags) {
-  const auto* w = workload_by_name(flags.count("workload")
-                                       ? flags.at("workload")
-                                       : "");
-  const auto version =
-      version_by_name(flags.count("version") ? flags.at("version") : "");
-  const auto scheme =
-      scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
-  if (w == nullptr || !version || !scheme || !flags.count("out"))
-    return usage();
-
-  const core::MachineConfig m = core::base_machine();
-  ir::Program product =
-      core::prepare_program(w->build(), *version, transform::OptimizeOptions{});
-  memsys::Hierarchy hierarchy(m.hierarchy);
-  auto hw_scheme = core::make_scheme(*scheme, m);
-  hierarchy.attach_hw(hw_scheme.get());
-  hw::Controller controller(hw_scheme.get());
-  controller.force(core::hw_always_on(*version));
-  cpu::TimingModel cpu(m.cpu, hierarchy, controller);
-  codegen::Trace trace;
-  cpu.set_trace_sink(&trace);
-  codegen::DataEnv env(product);
-  codegen::TraceEngine engine(product, env, cpu);
-  engine.run();
-  if (!codegen::save_trace(trace, flags.at("out"))) {
-    std::fprintf(stderr, "cannot write %s\n", flags.at("out").c_str());
-    return 2;
-  }
-  std::printf("recorded %zu events (%llu instructions, %llu cycles) -> %s\n",
-              trace.size(),
-              static_cast<unsigned long long>(cpu.instructions()),
-              static_cast<unsigned long long>(cpu.cycles()),
-              flags.at("out").c_str());
-  return 0;
-}
-
-int cmd_trace_replay(const std::string& path,
-                     const std::map<std::string, std::string>& flags) {
-  const auto machine =
-      machine_by_name(flags.count("machine") ? flags.at("machine") : "");
-  const auto scheme =
-      scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
-  if (!machine || !scheme) return usage();
-  codegen::Trace trace;
-  try {
-    trace = codegen::load_trace(path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "selcache: cannot load trace %s: %s\n", path.c_str(),
-                 e.what());
-    return 2;
-  }
-  memsys::Hierarchy hierarchy(machine->hierarchy);
-  auto hw_scheme = core::make_scheme(*scheme, *machine);
-  hierarchy.attach_hw(hw_scheme.get());
-  hw::Controller controller(hw_scheme.get());
-  cpu::TimingModel cpu(machine->cpu, hierarchy, controller);
-  codegen::replay_trace(trace, cpu);
-  std::printf("%s on %s: %llu cycles, %llu instructions, L1 miss %.2f%%, "
-              "L2 miss %.2f%%\n",
-              path.c_str(), machine->name.c_str(),
-              static_cast<unsigned long long>(cpu.cycles()),
-              static_cast<unsigned long long>(cpu.instructions()),
-              100.0 * hierarchy.l1_miss_rate(),
-              100.0 * hierarchy.l2_miss_rate());
-  return 0;
-}
-
-
 /// Shared setup for the predict commands: locality options from a machine's
 /// cache geometry.
 locality::LocalityOptions locality_options(const core::MachineConfig& m) {
@@ -1579,10 +1540,7 @@ int main(int argc, char** argv) {
         {"machine", "scheme", "epoch", "events-out", "metrics-out",
          "csv-out"},
         {}}},
-      {"trace-record",
-       {"trace-record", {"workload", "out", "version", "scheme"}, {}}},
-      {"trace-replay", {"trace-replay", {"machine", "scheme"}, {}}},
-      {"tape", {"tape", {"machine", "scheme", "out"}, {"stat"}}},
+      {"tape", {"tape", {"machine", "scheme", "out", "in"}, {"stat"}}},
       {"verify", {"verify", {"workload", "version"}, {"csv"}}},
       {"predict",
        {"predict", {"machine", "threshold", "capacity-fraction"},
@@ -1600,12 +1558,11 @@ int main(int argc, char** argv) {
   }
   const CommandSpec& spec = spec_it->second;
 
-  // trace-replay / run-file take a required positional; verify an optional
-  // one; trace takes two (WORKLOAD VERSION). Flags start after any
-  // positionals.
+  // run-file takes a required positional; verify an optional one; trace
+  // takes two (WORKLOAD VERSION). Flags start after any positionals.
   std::string positional, positional2;
   int flag_start = 2;
-  const bool requires_file = cmd == "trace-replay" || cmd == "run-file";
+  const bool requires_file = cmd == "run-file";
   const bool accepts_file = requires_file || cmd == "verify";
   if (accepts_file && argc > 2 &&
       std::string(argv[2]).rfind("--", 0) != 0) {
@@ -1662,8 +1619,6 @@ int main(int argc, char** argv) {
   if (cmd == "run-file") return cmd_run_file(positional, flags);
   if (cmd == "trace") return cmd_trace(positional, positional2, flags);
   if (cmd == "faultsim") return cmd_faultsim(positional, positional2, flags);
-  if (cmd == "trace-record") return cmd_trace_record(flags);
-  if (cmd == "trace-replay") return cmd_trace_replay(positional, flags);
   if (cmd == "tape") return cmd_tape(positional, positional2, flags);
   if (cmd == "store") return cmd_store(positional, flags);
   if (cmd == "resume") return cmd_resume(positional, flags);
